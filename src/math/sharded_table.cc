@@ -601,7 +601,9 @@ void ShardedEmbeddingTable::PrefetchWorker() {
     const size_t step = static_cast<size_t>(page) / sizeof(float);
     const size_t floats = lease->rows() * lease->stride();
     volatile float sink = 0.0f;
-    for (size_t i = 0; i < floats; i += step) sink += lease->values()[i];
+    for (size_t i = 0; i < floats; i += step) {
+      sink = sink + lease->values()[i];
+    }
     (void)sink;
   }
 }

@@ -7,6 +7,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
+#include "src/common/telemetry.h"
 #include "src/kg/alignment_util.h"
 #include "src/kg/graph_stats.h"
 
@@ -18,7 +19,6 @@ using kg::Alignment;
 using kg::AlignmentPair;
 using kg::DegreeDistribution;
 using kg::EntityId;
-using kg::KnowledgeGraph;
 
 /// Weighted sampling without replacement (Efraimidis–Spirakis exponential
 /// race): returns `k` indices from `candidates`, preferring large weights.
@@ -42,25 +42,14 @@ std::vector<EntityId> WeightedSampleWithoutReplacement(
   return out;
 }
 
-/// State of one side's dataset during IDS.
-struct SideState {
-  KnowledgeGraph graph;                // Current induced subgraph.
-  std::vector<EntityId> to_source;     // Current id -> source id.
-};
-
-SideState MakeSide(const KnowledgeGraph& source,
-                   const std::unordered_set<EntityId>& kept) {
-  SideState side;
-  std::vector<EntityId> old_to_new;
-  side.graph = source.InducedSubgraph(kept, &old_to_new);
-  side.to_source.assign(side.graph.NumEntities(), kg::kInvalidId);
-  for (size_t old_id = 0; old_id < old_to_new.size(); ++old_id) {
-    const EntityId new_id = old_to_new[old_id];
-    if (new_id != kg::kInvalidId) {
-      side.to_source[new_id] = static_cast<EntityId>(old_id);
-    }
-  }
-  return side;
+/// The view of `topology` induced by the entities in `kept`; `to_source`
+/// receives each view id's id in `topology`.
+kg::TopologyView InduceKept(const kg::TopologyView& topology,
+                            const std::unordered_set<EntityId>& kept,
+                            std::vector<EntityId>* to_source) {
+  std::vector<uint8_t> flags(topology.NumEntities(), 0);
+  for (EntityId e : kept) flags[e] = 1;
+  return topology.Induced(flags, to_source);
 }
 
 /// A deletion proposed by one side during an IDS round. `priority` is the
@@ -75,12 +64,12 @@ struct ProposedDeletion {
 /// One IDS deletion round on one side: proposes up to dsize(x, mu) entities
 /// per degree bucket x (Algorithm 1, line 7), sampling within a bucket with
 /// probability inversely related to PageRank (line 8).
-std::vector<ProposedDeletion> ProposeDeletions(const SideState& side,
-                                               const DegreeDistribution& q,
-                                               double mu,
-                                               int pagerank_iterations,
-                                               Rng& rng) {
-  const KnowledgeGraph& g = side.graph;
+/// `g` is the side's current induced view and `to_source` maps its ids back
+/// to source ids.
+std::vector<ProposedDeletion> ProposeDeletions(
+    const kg::TopologyView& g, const std::vector<EntityId>& to_source,
+    const DegreeDistribution& q, double mu, int pagerank_iterations,
+    Rng& rng) {
   const size_t n = g.NumEntities();
   const DegreeDistribution p = kg::ComputeDegreeDistribution(g);
   const std::vector<double> pagerank =
@@ -109,7 +98,7 @@ std::vector<ProposedDeletion> ProposeDeletions(const SideState& side,
     }
     for (EntityId e :
          WeightedSampleWithoutReplacement(bucket, weights, dsize, rng)) {
-      proposals.push_back({over, side.to_source[e]});
+      proposals.push_back({over, to_source[e]});
     }
   }
   return proposals;
@@ -168,15 +157,21 @@ DatasetPair IterativeDegreeSampling(const DatasetPair& source,
   const size_t target = options.target_size;
   OPENEA_CHECK_GT(target, 0u);
 
+  // IDS reads only degrees and head -> tail edges, so each round works on a
+  // view induced from these; the sample KnowledgeGraph is built once per
+  // attempt by RestrictPair.
+  const kg::TopologyView topology1(source.kg1);
+  const kg::TopologyView topology2(source.kg2);
   // Source degree distributions Q1, Q2 (Algorithm 1, line 2).
-  const DegreeDistribution q1 = kg::ComputeDegreeDistribution(source.kg1);
-  const DegreeDistribution q2 = kg::ComputeDegreeDistribution(source.kg2);
+  const DegreeDistribution q1 = kg::ComputeDegreeDistribution(topology1);
+  const DegreeDistribution q2 = kg::ComputeDegreeDistribution(topology2);
 
   Rng rng(options.seed);
   DatasetPair best;
   double best_js = 1e9;
 
   for (int attempt = 0; attempt < options.max_retries; ++attempt) {
+    telemetry::IncrCounter("sampling/ids_attempts");
     // Line 1: retain only entities in the reference alignment.
     std::unordered_set<EntityId> kept1, kept2;
     std::unordered_map<EntityId, EntityId> l2r, r2l;
@@ -186,16 +181,20 @@ DatasetPair IterativeDegreeSampling(const DatasetPair& source,
       l2r[ap.left] = ap.right;
       r2l[ap.right] = ap.left;
     }
+    std::vector<EntityId> to_source1, to_source2;
 
     while (kept1.size() > target && kept2.size() > target) {
-      SideState side1 = MakeSide(source.kg1, kept1);
-      SideState side2 = MakeSide(source.kg2, kept2);
-      auto proposals = ProposeDeletions(side1, q1, options.mu,
+      telemetry::IncrCounter("sampling/ids_rounds");
+      const kg::TopologyView side1 =
+          InduceKept(topology1, kept1, &to_source1);
+      const kg::TopologyView side2 =
+          InduceKept(topology2, kept2, &to_source2);
+      auto proposals = ProposeDeletions(side1, to_source1, q1, options.mu,
                                         options.pagerank_iterations, rng);
       // Side-2 proposals are mapped to their left counterparts so that an
       // aligned pair dies together (Algorithm 1, line 10).
       for (const ProposedDeletion& d :
-           ProposeDeletions(side2, q2, options.mu,
+           ProposeDeletions(side2, to_source2, q2, options.mu,
                             options.pagerank_iterations, rng)) {
         proposals.push_back({d.priority, r2l[d.source_id]});
       }
@@ -234,17 +233,20 @@ DatasetPair IterativeDegreeSampling(const DatasetPair& source,
     // target size.
     const size_t min_size = target - target / 50;
     for (int pass = 0; pass < 4 && kept1.size() > min_size; ++pass) {
-      SideState side1 = MakeSide(source.kg1, kept1);
-      SideState side2 = MakeSide(source.kg2, kept2);
+      telemetry::IncrCounter("sampling/ids_cleanup_passes");
+      const kg::TopologyView side1 =
+          InduceKept(topology1, kept1, &to_source1);
+      const kg::TopologyView side2 =
+          InduceKept(topology2, kept2, &to_source2);
       std::vector<EntityId> isolates;
-      for (size_t e = 0; e < side1.graph.NumEntities(); ++e) {
-        if (side1.graph.Degree(static_cast<EntityId>(e)) == 0) {
-          isolates.push_back(side1.to_source[e]);
+      for (size_t e = 0; e < side1.NumEntities(); ++e) {
+        if (side1.Degree(static_cast<EntityId>(e)) == 0) {
+          isolates.push_back(to_source1[e]);
         }
       }
-      for (size_t e = 0; e < side2.graph.NumEntities(); ++e) {
-        if (side2.graph.Degree(static_cast<EntityId>(e)) == 0) {
-          isolates.push_back(r2l[side2.to_source[e]]);
+      for (size_t e = 0; e < side2.NumEntities(); ++e) {
+        if (side2.Degree(static_cast<EntityId>(e)) == 0) {
+          isolates.push_back(r2l[to_source2[e]]);
         }
       }
       if (isolates.empty()) break;
@@ -322,6 +324,8 @@ DatasetPair DensifyPair(const DatasetPair& source, double density_factor,
   Rng rng(seed);
   const double target_degree = source.kg1.AverageDegree() * density_factor;
 
+  // kept1 stays an unordered_set: its iteration order is the candidate
+  // order, and so fixes what the shuffle below draws.
   std::unordered_set<EntityId> kept1, kept2;
   for (size_t e = 0; e < source.kg1.NumEntities(); ++e) {
     kept1.insert(static_cast<EntityId>(e));
@@ -332,20 +336,20 @@ DatasetPair DensifyPair(const DatasetPair& source, double density_factor,
   std::unordered_map<EntityId, EntityId> l2r;
   for (const AlignmentPair& ap : source.reference) l2r[ap.left] = ap.right;
 
-  DatasetPair current = RestrictPair(source, kept1, kept2);
+  // Each round reads KG1's degrees from a view induced by kept1; the sample
+  // KnowledgeGraph is built once, at the end.
+  const kg::TopologyView topology1(source.kg1);
+  std::vector<EntityId> to_source;
+  kg::TopologyView g1 = InduceKept(topology1, kept1, &to_source);
+  std::vector<size_t> degree(source.kg1.NumEntities(), 0);
   int guard = 0;
-  while (current.kg1.AverageDegree() < target_degree && guard++ < 60) {
-    // Collect low-degree aligned entities (by current ids mapped back to
-    // source ids via name lookup is brittle; instead recompute on the
-    // source-restricted view each round using kept sets).
-    std::vector<EntityId> old_to_new1;
-    KnowledgeGraph g1 = source.kg1.InducedSubgraph(kept1, &old_to_new1);
+  while (g1.AverageDegree() < target_degree && guard++ < 60) {
+    for (size_t e = 0; e < to_source.size(); ++e) {
+      degree[to_source[e]] = g1.Degree(static_cast<EntityId>(e));
+    }
     std::vector<EntityId> candidates;
     for (EntityId e : kept1) {
-      const EntityId cur = old_to_new1[e];
-      if (cur != kg::kInvalidId && g1.Degree(cur) <= max_degree_to_delete) {
-        candidates.push_back(e);
-      }
+      if (degree[e] <= max_degree_to_delete) candidates.push_back(e);
     }
     if (candidates.empty()) break;
     rng.Shuffle(candidates);
@@ -357,10 +361,9 @@ DatasetPair DensifyPair(const DatasetPair& source, double density_factor,
       auto it = l2r.find(e);
       if (it != l2r.end()) kept2.erase(it->second);
     }
-    current = RestrictPair(source, kept1, kept2);
+    g1 = InduceKept(topology1, kept1, &to_source);
   }
-  current.name = source.name;
-  return current;
+  return RestrictPair(source, kept1, kept2);
 }
 
 SampleQuality EvaluateSampleQuality(const DatasetPair& sample,

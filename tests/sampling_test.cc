@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "src/common/telemetry.h"
+#include "src/core/benchmark.h"
 #include "src/datagen/kg_pair.h"
 #include "src/kg/graph_stats.h"
 #include "src/sampling/samplers.h"
@@ -17,6 +21,119 @@ datagen::DatasetPair MakeSourcePair() {
   config.seed = 77;
   return GenerateDatasetPair(config, datagen::HeterogeneityProfile::EnFr(),
                              77);
+}
+
+/// FNV-1a over a pair's content: for each KG its entity names in id order,
+/// its relation triples and its attribute triples; then the reference
+/// alignment. Two pairs with the same fingerprint are byte-identical samples.
+uint64_t ContentFingerprint(const datagen::DatasetPair& pair) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_u64 = [&](uint64_t v) { mix(&v, sizeof(v)); };
+  for (const kg::KnowledgeGraph* g : {&pair.kg1, &pair.kg2}) {
+    mix_u64(g->NumEntities());
+    for (size_t e = 0; e < g->NumEntities(); ++e) {
+      const std::string& name = g->entities().Name(static_cast<int32_t>(e));
+      mix_u64(name.size());
+      mix(name.data(), name.size());
+    }
+    mix_u64(g->NumTriples());
+    for (const kg::Triple& t : g->triples()) mix(&t, sizeof(t));
+    mix_u64(g->NumAttributeTriples());
+    for (const kg::AttributeTriple& t : g->attribute_triples()) {
+      mix(&t, sizeof(t));
+    }
+  }
+  mix_u64(pair.reference.size());
+  for (const kg::AlignmentPair& p : pair.reference) mix(&p, sizeof(p));
+  return h;
+}
+
+// Golden fingerprints. They were computed by the implementation that
+// rebuilt the induced KnowledgeGraph every IDS / DensifyPair round; the
+// topology-view implementation must reproduce them byte for byte.
+struct GoldenBuild {
+  uint64_t seed;
+  uint64_t fingerprint;
+};
+
+TEST(IdsGoldenTest, LargePresetV1BuildsMatchPinnedFingerprints) {
+  // Seeds 6 and 7 miss epsilon on every attempt, so IDS runs all of its
+  // restarts there.
+  const GoldenBuild golden[] = {
+      {1, 0xd709ae4c626d7bd3ULL}, {2, 0x46edb3c350d8783bULL},
+      {3, 0x7c59f5a68e4f5918ULL}, {6, 0xfe607a224bf036f6ULL},
+      {7, 0x4f93967ae65f7915ULL},
+  };
+  for (const GoldenBuild& g : golden) {
+    const auto dataset = core::BuildBenchmarkDataset(
+        datagen::HeterogeneityProfile::EnFr(), core::ScalePreset::Large(),
+        /*dense_v2=*/false, g.seed);
+    EXPECT_EQ(ContentFingerprint(dataset.pair), g.fingerprint)
+        << "seed " << g.seed;
+  }
+}
+
+TEST(IdsGoldenTest, BenchPreset15kBuildMatchesPinnedFingerprint) {
+  // The dataset_15k benchmark preset: 15K sampled out of a 36K source with
+  // mu 1200.
+  const core::ScalePreset preset{"15000-bench", 36000, 15000, 1200.0};
+  const auto dataset = core::BuildBenchmarkDataset(
+      datagen::HeterogeneityProfile::EnFr(), preset, /*dense_v2=*/false,
+      6464);
+  EXPECT_EQ(dataset.pair.kg1.NumEntities(), 14904u);
+  EXPECT_EQ(ContentFingerprint(dataset.pair), 0x60cde54437eb384aULL);
+}
+
+TEST(DensifyGoldenTest, LargePresetV2BuildsMatchPinnedFingerprints) {
+  const GoldenBuild golden[] = {
+      {1, 0xcc250bd9e7f3541eULL}, {2, 0x7279f6558090650bULL},
+      {3, 0xe5977d115dc22ac4ULL}, {4, 0x3257458500ffc05dULL},
+  };
+  for (const GoldenBuild& g : golden) {
+    const auto dataset = core::BuildBenchmarkDataset(
+        datagen::HeterogeneityProfile::EnFr(), core::ScalePreset::Large(),
+        /*dense_v2=*/true, g.seed);
+    EXPECT_EQ(ContentFingerprint(dataset.pair), g.fingerprint)
+        << "seed " << g.seed;
+  }
+}
+
+TEST(DensifyGoldenTest, DensifyPairMatchesPinnedFingerprint) {
+  const auto dense = DensifyPair(MakeSourcePair(), 2.0, 5);
+  EXPECT_EQ(ContentFingerprint(dense), 0x38d7544eb1bcf231ULL);
+}
+
+TEST(IdsTest, CountersTellRestartsFromRounds) {
+  telemetry::ResetForTesting();
+  telemetry::SetCollectForTesting(true);
+  auto counters_after_build = [](uint64_t seed) {
+    telemetry::ResetForTesting();
+    core::BuildBenchmarkDataset(datagen::HeterogeneityProfile::EnFr(),
+                                core::ScalePreset::Large(),
+                                /*dense_v2=*/false, seed);
+    return telemetry::SnapshotMetrics().counters;
+  };
+  // Seed 1 meets epsilon on its first attempt; seed 6 never does and uses
+  // all three (IdsOptions::max_retries).
+  auto first_try = counters_after_build(1);
+  auto restarted = counters_after_build(6);
+  telemetry::SetCollectForTesting(false);
+  telemetry::ResetForTesting();
+
+  EXPECT_EQ(first_try["sampling/ids_attempts"], 1u);
+  EXPECT_EQ(restarted["sampling/ids_attempts"], 3u);
+  // Every attempt runs deletion rounds and at most four cleanup passes.
+  EXPECT_GE(first_try["sampling/ids_rounds"], 1u);
+  EXPECT_GE(restarted["sampling/ids_rounds"], 3u);
+  EXPECT_GE(first_try["sampling/ids_cleanup_passes"], 1u);
+  EXPECT_LE(restarted["sampling/ids_cleanup_passes"], 3 * 4u);
 }
 
 TEST(IdsTest, ReachesTargetSizeWithGoodJs) {
