@@ -7,8 +7,9 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/align/blocking.h"
+#include "src/align/inference.h"
 #include "src/approaches/unsupervised.h"
+#include "src/common/logging.h"
 #include "src/common/stopwatch.h"
 #include "src/core/registry.h"
 #include "src/eval/metrics.h"
@@ -74,9 +75,15 @@ int main(int argc, char** argv) {
                 static_cast<double>(exact_hits) / exact.size(), exact_ms);
     for (const int bits : {3, 5, 8}) {
       Stopwatch watch;
+      align::CandidateSourceConfig config;
+      config.kind = align::CandidateSourceKind::kLsh;
+      config.lsh_bits = bits;
+      config.lsh_tables = 8;
+      config.seed = args.seed;
+      const auto source = align::CreateCandidateSourceOrDie(config);
+      OPENEA_CHECK(source->Index(tgt).ok());
       const auto blocked =
-          align::BlockedGreedyMatch(src, tgt, bits, /*num_tables=*/8,
-                                    args.seed);
+          align::InferAlignment(*source, src, align::InferenceStrategy::kGreedy);
       const double ms = watch.ElapsedMillis();
       size_t hits = 0;
       for (size_t i = 0; i < blocked.size(); ++i) {

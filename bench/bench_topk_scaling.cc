@@ -52,8 +52,12 @@ int main(int argc, char** argv) {
       dense_match = align::GreedyMatch(sim);
     };
     const auto run_stream = [&] {
-      stream_match = align::StreamingGreedyMatch(
-          emb1, emb2, align::DistanceMetric::kCosine, /*csls=*/true);
+      align::TopKOptions options;
+      options.k = 1;
+      options.csls = true;
+      const align::TopKResult top1 = align::StreamingTopK(emb1, emb2, options);
+      stream_match.assign(n, -1);
+      for (size_t i = 0; i < n; ++i) stream_match[i] = top1.BestIndex(i);
     };
     const auto best_of = [&](const auto& body) {
       body();  // Warm-up (thread pool spin-up, page faults); untimed.

@@ -381,9 +381,11 @@ void BM_TopKStreaming(benchmark::State& state) {
   math::Matrix emb1(n, 32), emb2(n, 32);
   emb1.FillUniform(rng, 1.0f);
   emb2.FillUniform(rng, 1.0f);
+  align::TopKOptions options;
+  options.k = 1;
+  options.csls = csls;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(align::StreamingGreedyMatch(
-        emb1, emb2, align::DistanceMetric::kCosine, csls));
+    benchmark::DoNotOptimize(align::StreamingTopK(emb1, emb2, options));
   }
 }
 BENCHMARK(BM_TopKStreaming)

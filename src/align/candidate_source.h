@@ -9,6 +9,7 @@
 #include "src/align/topk.h"
 #include "src/common/status.h"
 #include "src/math/matrix.h"
+#include "src/math/row_banks.h"
 
 namespace openea::align {
 
@@ -89,17 +90,16 @@ class CandidateSource {
   /// private copy of `targets`, so the caller's matrix may be freed. An
   /// empty matrix is a valid (degenerate) index: every query then returns
   /// all-padding rows.
-  virtual Status Index(const math::Matrix& targets) = 0;
+  Status Index(const math::Matrix& targets);
 
   /// Builds the index over a shard-banked on-disk table
-  /// (src/math/sharded_table.h) instead of an in-RAM matrix. The base
-  /// implementation materializes the table and delegates to Index(); the
-  /// exact and IVF sources override it to stream bank by bank, so serving a
-  /// 100K+ table never holds all rows in RAM at once. Scores are
-  /// bit-identical to the in-RAM index (pinned by
-  /// tests/sharded_table_test.cc).
-  virtual Status IndexSharded(
-      std::shared_ptr<const math::ShardedEmbeddingTable> table);
+  /// (src/math/sharded_table.h) instead of an in-RAM matrix. Both entry
+  /// points hand the kind's Build() the same math::RowBanks view, so the
+  /// exact and IVF sources walk the table bank by bank (serving a 100K+
+  /// table never holds all rows in RAM at once) with scores bit-identical
+  /// to the in-RAM index (pinned by tests/sharded_table_test.cc). The LSH
+  /// source materializes the table.
+  Status IndexSharded(std::shared_ptr<const math::ShardedEmbeddingTable> table);
 
   /// Convenience: ShardedEmbeddingTable::Open(path) + IndexSharded.
   Status IndexShardedFile(const std::string& path);
@@ -117,24 +117,24 @@ class CandidateSource {
   DistanceMetric metric() const { return config_.metric; }
 
   bool indexed() const { return indexed_; }
-  /// Virtual so sharded-indexed sources report the on-disk table's shape
-  /// (targets() is then empty: there is no in-RAM matrix to hand out).
-  virtual size_t num_targets() const { return targets_.rows(); }
-  virtual size_t dim() const { return targets_.cols(); }
+  size_t num_targets() const { return targets_.rows(); }
+  size_t dim() const { return targets_.dim(); }
 
-  /// The indexed target embeddings (row order preserved). Lets dense-only
-  /// consumers — stable marriage, Kuhn-Munkres — materialize the full
-  /// similarity structure from the same data the source scans. Empty after
-  /// IndexSharded on sources that stream from disk (use num_targets()/dim()
-  /// for shape queries).
-  const math::Matrix& targets() const { return targets_; }
+  /// The indexed target rows (row order preserved), in RAM or on disk. Lets
+  /// dense-only consumers — stable marriage, Kuhn-Munkres — materialize the
+  /// full similarity structure from the same rows the source scans.
+  const math::RowBanks& targets() const { return targets_; }
 
  protected:
   explicit CandidateSource(const CandidateSourceConfig& config)
       : config_(config) {}
 
+  /// Builds the kind's index over targets_ (already set by Index or
+  /// IndexSharded).
+  virtual Status Build() = 0;
+
   CandidateSourceConfig config_;
-  math::Matrix targets_;
+  math::RowBanks targets_;
   bool indexed_ = false;
 };
 

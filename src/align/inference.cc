@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -213,9 +212,11 @@ std::vector<int> InferAlignment(const CandidateSource& source,
   }
   // Stable marriage needs full preference lists and Kuhn-Munkres the full
   // cost structure; both materialize the dense similarity matrix against
-  // the source's indexed targets — exact regardless of the source kind.
-  math::Matrix sim = SimilarityMatrix(queries, source.targets(),
-                                      source.metric());
+  // the source's indexed targets — exact regardless of the source kind, and
+  // read through the row-bank view so a sharded index works too.
+  const StatusOr<math::Matrix> targets = source.targets().ToMatrix();
+  OPENEA_CHECK(targets.ok()) << targets.status().ToString();
+  math::Matrix sim = SimilarityMatrix(queries, *targets, source.metric());
   switch (strategy) {
     case InferenceStrategy::kStableMarriage:
       return StableMarriage(sim);
@@ -227,22 +228,6 @@ std::vector<int> InferAlignment(const CandidateSource& source,
     default:
       return GreedyMatch(sim);
   }
-}
-
-std::vector<int> InferAlignment(const math::Matrix& src_emb,
-                                const math::Matrix& tgt_emb,
-                                DistanceMetric metric,
-                                InferenceStrategy strategy, int csls_k) {
-  // Deprecated shim: one-shot exact source. The index copy is cheap (the
-  // exact source has no build step); callers that reuse targets should
-  // hold a CandidateSource instead.
-  CandidateSourceConfig config;
-  config.metric = metric;
-  config.csls = strategy == InferenceStrategy::kGreedyCsls;
-  config.csls_k = csls_k;
-  std::unique_ptr<CandidateSource> source = CreateCandidateSourceOrDie(config);
-  OPENEA_CHECK(source->Index(tgt_emb).ok());
-  return InferAlignment(*source, src_emb, strategy, csls_k);
 }
 
 }  // namespace openea::align

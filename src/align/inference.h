@@ -49,19 +49,10 @@ std::vector<int> InferAlignment(const math::Matrix& sim,
 /// lives in the source, so a mismatch is CHECK-rejected). Stable marriage
 /// and Kuhn-Munkres need the full preference structure and materialize
 /// `SimilarityMatrix(queries, source.targets())` — exact regardless of the
-/// source kind. `source` must be Index()ed.
+/// source kind, and read from disk when the source was indexed from a
+/// sharded table. `source` must be indexed.
 std::vector<int> InferAlignment(const CandidateSource& source,
                                 const math::Matrix& queries,
-                                InferenceStrategy strategy, int csls_k = 10);
-
-/// Streaming overload: infers the alignment straight from the row
-/// embeddings. Deprecated shim over the candidate-source overload with an
-/// exact source — bit-identical to the historical dense/streaming paths;
-/// new code should build a CandidateSource and reuse its index across
-/// calls.
-std::vector<int> InferAlignment(const math::Matrix& src_emb,
-                                const math::Matrix& tgt_emb,
-                                DistanceMetric metric,
                                 InferenceStrategy strategy, int csls_k = 10);
 
 }  // namespace openea::align

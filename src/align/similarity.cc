@@ -9,7 +9,7 @@
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
 #include "src/math/kernels.h"
-#include "src/math/vec.h"
+#include "src/math/row_banks.h"
 
 namespace openea::align {
 
@@ -56,21 +56,6 @@ void MetricRowBlock(DistanceMetric metric, const float* a, float na,
 
 }  // namespace detail
 
-namespace {
-
-/// Per-row L2 norms (cosine only). Pure per-row, so hoisting them out of
-/// the cell loop is bit-identical to the per-pair norms the old dense path
-/// computed inside math::CosineSimilarity.
-std::vector<float> MatrixRowNorms(const math::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  ParallelFor(0, m.rows(), 0, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) norms[i] = math::L2Norm(m.Row(i));
-  });
-  return norms;
-}
-
-}  // namespace
-
 math::Matrix SimilarityMatrix(const math::Matrix& src,
                               const math::Matrix& tgt,
                               DistanceMetric metric) {
@@ -81,8 +66,8 @@ math::Matrix SimilarityMatrix(const math::Matrix& src,
   std::vector<float> tgt_norms;
   std::vector<float> src_norms;
   if (metric == DistanceMetric::kCosine) {
-    src_norms = MatrixRowNorms(src);
-    tgt_norms = MatrixRowNorms(tgt);
+    src_norms = math::RowNorms(src);
+    tgt_norms = math::RowNorms(tgt);
   }
   // Row-parallel: every similarity cell is written exactly once, so the
   // result is bit-identical at any thread count. Each output row is one

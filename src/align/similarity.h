@@ -41,6 +41,15 @@ void MetricRowBlock(DistanceMetric metric, const float* a, float na,
                     const float* b, size_t ldb, const float* tgt_norms,
                     float* out, size_t count, size_t n);
 
+/// One similarity cell: MetricRowBlock with a block of one, so a single
+/// cell is bit-identical to the same cell of any blocked scan.
+inline float MetricCell(DistanceMetric metric, const float* a, float na,
+                        const float* b, float nb, size_t n) {
+  float out = 0.0f;
+  MetricRowBlock(metric, a, na, b, n, &nb, &out, 1, n);
+  return out;
+}
+
 }  // namespace detail
 
 }  // namespace openea::align

@@ -8,7 +8,6 @@
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
-#include "src/math/vec.h"
 
 namespace openea::align {
 namespace {
@@ -27,29 +26,11 @@ constexpr size_t kPsiBands = 8;
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-/// One similarity cell through the shared block kernel
-/// (detail::MetricRowBlock, similarity.h) with a block of one — the same
-/// code path the dense `SimilarityMatrix` and the blocked scans below use,
-/// so the float result is bit-identical. For cosine the two L2 norms are
-/// cached by the caller; they are pure functions of each row.
-inline float Cell(DistanceMetric metric, std::span<const float> a,
-                  std::span<const float> b, float na, float nb) {
-  float out = 0.0f;
-  detail::MetricRowBlock(metric, a.data(), na, b.data(), b.size(), &nb, &out,
-                         1, a.size());
-  return out;
-}
-
 /// The CSLS adjustment, evaluated with the same float expression (and
 /// operation order) as `ApplyCsls`: 2 sim - psi_src - psi_tgt.
 inline float CslsAdjust(float sim, float psi_src, float psi_tgt) {
   return 2.0f * sim - psi_src - psi_tgt;
 }
-
-/// Top-k selection order and bounded insert live in topk.h (detail::) so
-/// the candidate-source implementations select with exactly the same total
-/// order as this engine.
-using detail::TopKInsert;
 
 /// Sorted-ascending bounded insert of a bare value (the k-largest multiset
 /// is uniquely defined, so value-only buffers merge deterministically in
@@ -84,22 +65,13 @@ inline float MeanDescending(const float* vals, uint32_t count) {
   return sum / static_cast<float>(count);
 }
 
-/// Per-row L2 norms (cosine only); pure per-row, so precomputing once is
-/// bit-identical to the per-pair norms of `math::CosineSimilarity`.
-std::vector<float> RowNorms(const math::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  ParallelFor(0, m.rows(), 0, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) norms[i] = math::L2Norm(m.Row(i));
-  });
-  return norms;
-}
-
-/// Pass one of streaming CSLS: one scan over all cells fills psi_src (mean
-/// top-k similarity of each source row) directly and per-column top-k value
-/// buffers local to a fixed band layout; a second, cheap pass merges the
-/// band buffers per column into psi_tgt. Nothing of size rows x cols is
-/// ever allocated.
-void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
+/// Pass one of streaming CSLS: one walk over the target banks fills
+/// per-row top-k value buffers (for psi_src, the mean top-k similarity of
+/// each source row) and per-column ones local to a fixed band layout of the
+/// source rows; a second, cheap pass merges the band buffers per column into
+/// psi_tgt. The band state persists across banks, and nothing of size
+/// rows x cols is ever allocated.
+void ComputeCslsPsi(const math::Matrix& src, const math::RowBanks& tgt,
                     DistanceMetric metric, int csls_k, size_t col_block,
                     const std::vector<float>& src_norms,
                     const std::vector<float>& tgt_norms,
@@ -107,6 +79,7 @@ void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
                     std::atomic<uint64_t>& nan_cells) {
   const size_t rows = src.rows();
   const size_t cols = tgt.rows();
+  const size_t dim = tgt.dim();
   // Per-direction neighbourhood clamp (mirrors the ApplyCsls fix): psi_src
   // ranks over `cols` candidates, psi_tgt over `rows`.
   const size_t kk_src = std::min<size_t>(std::max(csls_k, 1), cols);
@@ -117,59 +90,71 @@ void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
 
   const size_t num_bands = std::min(kPsiBands, rows);
   const size_t band_rows = (rows + num_bands - 1) / num_bands;
-  // Band-local per-column top-k value buffers plus their fill counts.
-  std::vector<std::vector<float>> band_vals(num_bands);
-  std::vector<std::vector<uint32_t>> band_counts(num_bands);
+  // Band-local per-column and per-row top-k value buffers plus fill counts.
+  struct Band {
+    std::vector<float> col_vals, row_vals;
+    std::vector<uint32_t> col_counts, row_counts;
+  };
+  std::vector<Band> bands(num_bands);
 
-  ParallelFor(0, num_bands, 1, [&](size_t bb, size_t be) {
-    for (size_t band = bb; band < be; ++band) {
-      const size_t row_begin = band * band_rows;
-      const size_t row_end = std::min(rows, row_begin + band_rows);
-      if (row_begin >= row_end) continue;
-      band_vals[band].assign(cols * kk_tgt, kNegInf);
-      band_counts[band].assign(cols, 0);
-      float* cvals = band_vals[band].data();
-      uint32_t* ccounts = band_counts[band].data();
-      // Per-row top-k buffers for the band's slice of psi_src.
-      std::vector<float> row_vals((row_end - row_begin) * kk_src, kNegInf);
-      std::vector<uint32_t> row_counts(row_end - row_begin, 0);
-      uint64_t local_nan = 0;
-      uint64_t local_blocks = 0;
-      std::vector<float> cell_buf(std::min(col_block, cols));
-      for (size_t jb = 0; jb < cols; jb += col_block) {
-        const size_t je = std::min(cols, jb + col_block);
-        ++local_blocks;
-        for (size_t i = row_begin; i < row_end; ++i) {
-          const auto a = src.Row(i);
-          const float na = src_norms.empty() ? 0.0f : src_norms[i];
-          float* rvals = row_vals.data() + (i - row_begin) * kk_src;
-          uint32_t& rcount = row_counts[i - row_begin];
-          // One batched kernel call per (row, column tile).
-          detail::MetricRowBlock(
-              metric, a.data(), na, tgt.Row(jb).data(), tgt.cols(),
-              tgt_norms.empty() ? nullptr : tgt_norms.data() + jb,
-              cell_buf.data(), je - jb, tgt.cols());
-          for (size_t j = jb; j < je; ++j) {
-            const float s = cell_buf[j - jb];
-            if (std::isnan(s)) {
-              ++local_nan;
-              continue;
+  const Status walked = tgt.ForEachBank([&](const math::RowBanks::Bank& bank) {
+    ParallelFor(0, num_bands, 1, [&](size_t bb, size_t be) {
+      for (size_t b = bb; b < be; ++b) {
+        const size_t row_begin = b * band_rows;
+        const size_t row_end = std::min(rows, row_begin + band_rows);
+        if (row_begin >= row_end) continue;
+        Band& band = bands[b];
+        if (band.col_counts.empty()) {
+          band.col_vals.assign(cols * kk_tgt, kNegInf);
+          band.col_counts.assign(cols, 0);
+          band.row_vals.assign((row_end - row_begin) * kk_src, kNegInf);
+          band.row_counts.assign(row_end - row_begin, 0);
+        }
+        uint64_t local_nan = 0;
+        uint64_t local_blocks = 0;
+        std::vector<float> cell_buf(std::min(col_block, bank.rows()));
+        for (size_t jo = 0; jo < bank.rows(); jo += col_block) {
+          const size_t je = std::min(bank.rows(), jo + col_block);
+          const size_t first = bank.first_row() + jo;
+          ++local_blocks;
+          for (size_t i = row_begin; i < row_end; ++i) {
+            float* rvals = band.row_vals.data() + (i - row_begin) * kk_src;
+            uint32_t& rcount = band.row_counts[i - row_begin];
+            // One batched kernel call per (row, column tile).
+            detail::MetricRowBlock(
+                metric, src.Row(i).data(),
+                src_norms.empty() ? 0.0f : src_norms[i],
+                bank.values() + jo * bank.stride(), bank.stride(),
+                tgt_norms.empty() ? nullptr : tgt_norms.data() + first,
+                cell_buf.data(), je - jo, dim);
+            for (size_t j = 0; j < je - jo; ++j) {
+              const float s = cell_buf[j];
+              if (std::isnan(s)) {
+                ++local_nan;
+                continue;
+              }
+              InsertValue(rvals, rcount, kk_src, s);
+              InsertValue(band.col_vals.data() + (first + j) * kk_tgt,
+                          band.col_counts[first + j], kk_tgt, s);
             }
-            InsertValue(rvals, rcount, kk_src, s);
-            InsertValue(cvals + j * kk_tgt, ccounts[j], kk_tgt, s);
           }
         }
+        if (local_nan > 0) {
+          nan_cells.fetch_add(local_nan, std::memory_order_relaxed);
+        }
+        telemetry::IncrCounter("align/topk_blocks", local_blocks);
       }
-      for (size_t i = row_begin; i < row_end; ++i) {
-        psi_src[i] = MeanDescending(row_vals.data() + (i - row_begin) * kk_src,
-                                    row_counts[i - row_begin]);
-      }
-      if (local_nan > 0) {
-        nan_cells.fetch_add(local_nan, std::memory_order_relaxed);
-      }
-      telemetry::IncrCounter("align/topk_blocks", local_blocks);
-    }
+    });
   });
+  OPENEA_CHECK(walked.ok()) << walked.ToString();
+
+  for (size_t b = 0; b < num_bands; ++b) {
+    const size_t row_begin = b * band_rows;
+    for (size_t r = 0; r < bands[b].row_counts.size(); ++r) {
+      psi_src[row_begin + r] = MeanDescending(
+          bands[b].row_vals.data() + r * kk_src, bands[b].row_counts[r]);
+    }
+  }
 
   // Merge the band-local buffers per column. The k-largest multiset is
   // independent of the merge order, and the final descending sum matches
@@ -178,11 +163,10 @@ void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
     std::vector<float> merged;
     for (size_t j = begin; j < end; ++j) {
       merged.clear();
-      for (size_t band = 0; band < num_bands; ++band) {
-        if (band_counts[band].empty()) continue;
-        const uint32_t count = band_counts[band][j];
-        const float* vals = band_vals[band].data() + j * kk_tgt;
-        merged.insert(merged.end(), vals, vals + count);
+      for (const Band& band : bands) {
+        if (band.col_counts.empty()) continue;
+        const float* vals = band.col_vals.data() + j * kk_tgt;
+        merged.insert(merged.end(), vals, vals + band.col_counts[j]);
       }
       const size_t take = std::min<size_t>(kk_tgt, merged.size());
       std::partial_sort(merged.begin(),
@@ -197,11 +181,12 @@ void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
 
 }  // namespace
 
-TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
+TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
                          const TopKOptions& options) {
-  OPENEA_CHECK_EQ(src.cols(), tgt.cols());
+  OPENEA_CHECK_EQ(src.cols(), tgt.dim());
   const size_t rows = src.rows();
   const size_t cols = tgt.rows();
+  const size_t dim = tgt.dim();
   const bool has_true = !options.true_cols.empty();
   if (has_true) OPENEA_CHECK_EQ(options.true_cols.size(), rows);
   const size_t col_block =
@@ -223,215 +208,59 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
 
   std::vector<float> src_norms, tgt_norms;
   if (options.metric == DistanceMetric::kCosine) {
-    src_norms = RowNorms(src);
-    tgt_norms = RowNorms(tgt);
+    src_norms = math::RowNorms(src);
+    tgt_norms = math::RowNorms(tgt);
   }
 
   std::atomic<uint64_t> nan_cells{0};
-  std::atomic<uint64_t> nan_true{0};
-
   std::vector<float> psi_src, psi_tgt;
   if (options.csls) {
     telemetry::ScopedSpan psi_span("topk_psi");
     ComputeCslsPsi(src, tgt, options.metric, options.csls_k, col_block,
                    src_norms, tgt_norms, psi_src, psi_tgt, nan_cells);
   }
+  const auto adjust = [&](float s, size_t i, size_t j) {
+    return options.csls ? CslsAdjust(s, psi_src[i], psi_tgt[j]) : s;
+  };
 
-  {
-    telemetry::ScopedSpan scan_span("topk_scan");
-    ParallelFor(0, rows, kRowGrain, [&](size_t row_begin, size_t row_end) {
-      std::vector<TopKEntry> heap(options.k);
-      std::vector<float> cell_buf(std::min(col_block, cols));
-      uint64_t local_nan = 0;
-      uint64_t local_nan_true = 0;
-      uint64_t local_blocks = 0;
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const auto a = src.Row(i);
-        const float na = src_norms.empty() ? 0.0f : src_norms[i];
-        const float psi_i = options.csls ? psi_src[i] : 0.0f;
-        int true_col = -1;
-        float true_val = 0.0f;
-        bool true_is_nan = false;
-        if (has_true) {
-          true_col = options.true_cols[i];
-          OPENEA_CHECK_LT(static_cast<size_t>(true_col), cols);
-          const float raw =
-              Cell(options.metric, a, tgt.Row(true_col), na,
-                   tgt_norms.empty() ? 0.0f : tgt_norms[true_col]);
-          true_val = options.csls
-                         ? CslsAdjust(raw, psi_i, psi_tgt[true_col])
-                         : raw;
-          true_is_nan = std::isnan(true_val);
-          result.true_sim[i] = true_val;
-        }
-        size_t count = 0;
-        uint32_t greater = 0, ties = 0;
-        for (size_t jb = 0; jb < cols; jb += col_block) {
-          const size_t je = std::min(cols, jb + col_block);
-          ++local_blocks;
-          // One batched kernel call per column tile.
-          detail::MetricRowBlock(
-              options.metric, a.data(), na, tgt.Row(jb).data(), tgt.cols(),
-              tgt_norms.empty() ? nullptr : tgt_norms.data() + jb,
-              cell_buf.data(), je - jb, tgt.cols());
-          for (size_t j = jb; j < je; ++j) {
-            const float s = cell_buf[j - jb];
-            const float v =
-                options.csls ? CslsAdjust(s, psi_i, psi_tgt[j]) : s;
-            if (std::isnan(v)) {
-              ++local_nan;
-              continue;
-            }
-            if (options.k > 0) {
-              TopKInsert(heap.data(), count, options.k, v,
-                         static_cast<int>(j));
-            }
-            if (has_true && static_cast<int>(j) != true_col) {
-              if (v > true_val) {
-                ++greater;
-              } else if (v == true_val) {
-                ++ties;
-              }
-            }
-          }
-        }
-        if (options.k > 0) {
-          TopKEntry* out = result.entries.data() + i * options.k;
-          for (size_t t = 0; t < count; ++t) out[t] = heap[t];
-        }
-        if (has_true) {
-          if (true_is_nan) {
-            // Deterministic worst-case rank for a NaN-poisoned true pair —
-            // the dense comparisons would silently report rank 1.
-            ++local_nan_true;
-            greater = static_cast<uint32_t>(cols);
-            ties = 0;
-          }
-          result.num_greater[i] = greater;
-          result.num_ties[i] = ties;
-        }
-      }
-      if (local_nan > 0) {
-        nan_cells.fetch_add(local_nan, std::memory_order_relaxed);
-      }
-      if (local_nan_true > 0) {
-        nan_true.fetch_add(local_nan_true, std::memory_order_relaxed);
-      }
-      telemetry::IncrCounter("align/topk_blocks", local_blocks);
-    });
-  }
-
-  result.nan_cells = nan_cells.load(std::memory_order_relaxed);
-  if (result.nan_cells > 0) {
-    telemetry::IncrCounter("align/topk_nan_cells", result.nan_cells);
-  }
-  const uint64_t nan_true_total = nan_true.load(std::memory_order_relaxed);
-  if (nan_true_total > 0) {
-    telemetry::IncrCounter("align/topk_nan_true", nan_true_total);
-  }
-  return result;
-}
-
-TopKResult ShardedTopK(const math::Matrix& src,
-                       const math::ShardedEmbeddingTable& tgt,
-                       const TopKOptions& options) {
-  OPENEA_CHECK_EQ(src.cols(), tgt.dim());
-  OPENEA_CHECK(!options.csls);  // See the header: stream callers rank raw.
-  const size_t rows = src.rows();
-  const size_t cols = tgt.num_rows();
-  const size_t dim = tgt.dim();
-  const size_t stride = tgt.row_stride();
-  const bool has_true = !options.true_cols.empty();
-  if (has_true) OPENEA_CHECK_EQ(options.true_cols.size(), rows);
-  const size_t col_block =
-      options.col_block > 0 ? options.col_block : kDefaultColBlock;
-
-  TopKResult result;
-  result.rows = rows;
-  result.k = options.k;
-  result.entries.assign(rows * options.k, TopKEntry{});
   if (has_true) {
-    result.true_sim.assign(rows, 0.0f);
-    result.num_greater.assign(rows, 0);
-    result.num_ties.assign(rows, 0);
-  }
-  if (rows == 0) return result;
-
-  telemetry::ScopedSpan span("sharded_topk");
-  telemetry::IncrCounter("align/topk_rows", rows);
-
-  std::vector<float> src_norms, tgt_norms;
-  const bool cosine = options.metric == DistanceMetric::kCosine;
-  if (cosine) {
-    src_norms = RowNorms(src);
-    tgt_norms.resize(cols);
-  }
-
-  std::atomic<uint64_t> nan_cells{0};
-  uint64_t nan_true = 0;
-
-  // Group source rows by the bank holding their true column, so the
-  // true-cell pass maps each bank once.
-  std::vector<std::vector<uint32_t>> true_rows_by_bank;
-  if (has_true) {
-    true_rows_by_bank.resize(tgt.num_banks());
+    // True-column cells first (the scan counts against them), grouped by
+    // the bank holding the true column so each bank is pinned once. One
+    // cell per row, so serial: negligible next to the scan.
+    std::vector<std::vector<uint32_t>> true_rows_by_bank(tgt.num_banks());
     for (size_t i = 0; i < rows; ++i) {
       const int true_col = options.true_cols[i];
       OPENEA_CHECK_LT(static_cast<size_t>(true_col), cols);
       true_rows_by_bank[tgt.BankOfRow(static_cast<size_t>(true_col))]
           .push_back(static_cast<uint32_t>(i));
     }
+    const Status walked =
+        tgt.ForEachBank([&](const math::RowBanks::Bank& bank) {
+      const std::vector<uint32_t>& group =
+          true_rows_by_bank[tgt.BankOfRow(bank.first_row())];
+      for (const size_t i : group) {
+        const size_t tc = static_cast<size_t>(options.true_cols[i]);
+        const float raw = detail::MetricCell(
+            options.metric, src.Row(i).data(),
+            src_norms.empty() ? 0.0f : src_norms[i], bank.Row(tc),
+            tgt_norms.empty() ? 0.0f : tgt_norms[tc], dim);
+        result.true_sim[i] = adjust(raw, i, tc);
+      }
+    });
+    OPENEA_CHECK(walked.ok()) << walked.ToString();
   }
 
-  // Pass 1 over banks: per-row target norms (cosine) and true-column cells.
-  // L2Norm is a pure per-row function, so precomputing from the mapped bank
-  // is bit-identical to RowNorms over the materialized matrix.
-  if (cosine || has_true) {
-    for (size_t b = 0; b < tgt.num_banks(); ++b) {
-      if (b + 1 < tgt.num_banks()) tgt.Prefetch(b + 1);
-      auto lease = tgt.MapBank(b);
-      OPENEA_CHECK(lease.ok());
-      if (cosine) {
-        ParallelFor(0, lease->rows(), 64, [&](size_t begin, size_t end) {
-          for (size_t r = begin; r < end; ++r) {
-            tgt_norms[lease->first_row() + r] = math::L2Norm(
-                std::span<const float>(lease->values() + r * stride, dim));
-          }
-        });
-      }
-      if (has_true && !true_rows_by_bank[b].empty()) {
-        const std::vector<uint32_t>& group = true_rows_by_bank[b];
-        ParallelFor(0, group.size(), 64, [&](size_t begin, size_t end) {
-          for (size_t g = begin; g < end; ++g) {
-            const size_t i = group[g];
-            const size_t true_col =
-                static_cast<size_t>(options.true_cols[i]);
-            result.true_sim[i] =
-                Cell(options.metric, src.Row(i),
-                     std::span<const float>(lease->RowValues(true_col), dim),
-                     src_norms.empty() ? 0.0f : src_norms[i],
-                     tgt_norms.empty() ? 0.0f : tgt_norms[true_col]);
-          }
-        });
-      }
-    }
-  }
-
-  // Pass 2: bank-outer scan with persistent per-row selection state. Row
-  // chunk boundaries are fixed by kRowGrain, so a given row is only ever
-  // touched by the thread owning its chunk within a bank, and the ParallelFor
+  // Bank-outer scan with per-row selection state kept across banks. Row
+  // chunk boundaries are fixed by kRowGrain, so a row is only ever touched
+  // by the thread owning its chunk within a bank, and the ParallelFor
   // barrier orders the banks.
   std::vector<size_t> counts(rows, 0);
   {
     telemetry::ScopedSpan scan_span("topk_scan");
-    for (size_t b = 0; b < tgt.num_banks(); ++b) {
-      if (b + 1 < tgt.num_banks()) tgt.Prefetch(b + 1);
-      auto lease = tgt.MapBank(b);
-      OPENEA_CHECK(lease.ok());
-      const size_t first = lease->first_row();
-      const size_t bank_rows = lease->rows();
+    const Status walked =
+        tgt.ForEachBank([&](const math::RowBanks::Bank& bank) {
       ParallelFor(0, rows, kRowGrain, [&](size_t row_begin, size_t row_end) {
-        std::vector<float> cell_buf(std::min(col_block, bank_rows));
+        std::vector<float> cell_buf(std::min(col_block, bank.rows()));
         uint64_t local_nan = 0;
         uint64_t local_blocks = 0;
         for (size_t i = row_begin; i < row_end; ++i) {
@@ -439,28 +268,31 @@ TopKResult ShardedTopK(const math::Matrix& src,
           const float na = src_norms.empty() ? 0.0f : src_norms[i];
           const int true_col = has_true ? options.true_cols[i] : -1;
           const float true_val = has_true ? result.true_sim[i] : 0.0f;
-          size_t& count = counts[i];
           TopKEntry* ents =
               options.k > 0 ? result.entries.data() + i * options.k : nullptr;
           uint32_t greater = 0, ties = 0;
-          for (size_t jo = 0; jo < bank_rows; jo += col_block) {
-            const size_t je = std::min(bank_rows, jo + col_block);
+          for (size_t jo = 0; jo < bank.rows(); jo += col_block) {
+            const size_t je = std::min(bank.rows(), jo + col_block);
+            const size_t first = bank.first_row() + jo;
             ++local_blocks;
+            // One batched kernel call per column tile.
             detail::MetricRowBlock(
-                options.metric, a.data(), na, lease->values() + jo * stride,
-                stride, tgt_norms.empty() ? nullptr : tgt_norms.data() + first + jo,
+                options.metric, a.data(), na,
+                bank.values() + jo * bank.stride(), bank.stride(),
+                tgt_norms.empty() ? nullptr : tgt_norms.data() + first,
                 cell_buf.data(), je - jo, dim);
-            for (size_t j = jo; j < je; ++j) {
-              const float v = cell_buf[j - jo];
+            for (size_t j = 0; j < je - jo; ++j) {
+              const size_t col = first + j;
+              const float v = adjust(cell_buf[j], i, col);
               if (std::isnan(v)) {
                 ++local_nan;
                 continue;
               }
-              const int col = static_cast<int>(first + j);
               if (options.k > 0) {
-                TopKInsert(ents, count, options.k, v, col);
+                detail::TopKInsert(ents, counts[i], options.k, v,
+                                   static_cast<int>(col));
               }
-              if (has_true && col != true_col) {
+              if (has_true && static_cast<int>(col) != true_col) {
                 if (v > true_val) {
                   ++greater;
                 } else if (v == true_val) {
@@ -479,16 +311,18 @@ TopKResult ShardedTopK(const math::Matrix& src,
         }
         telemetry::IncrCounter("align/topk_blocks", local_blocks);
       });
-    }
+    });
+    OPENEA_CHECK(walked.ok()) << walked.ToString();
   }
 
-  if (has_true) {
-    for (size_t i = 0; i < rows; ++i) {
-      if (std::isnan(result.true_sim[i])) {
-        ++nan_true;
-        result.num_greater[i] = static_cast<uint32_t>(cols);
-        result.num_ties[i] = 0;
-      }
+  uint64_t nan_true = 0;
+  for (size_t i = 0; has_true && i < rows; ++i) {
+    if (std::isnan(result.true_sim[i])) {
+      // Deterministic worst-case rank for a NaN-poisoned true pair — the
+      // dense comparisons would silently report rank 1.
+      ++nan_true;
+      result.num_greater[i] = static_cast<uint32_t>(cols);
+      result.num_ties[i] = 0;
     }
   }
 
@@ -500,21 +334,6 @@ TopKResult ShardedTopK(const math::Matrix& src,
     telemetry::IncrCounter("align/topk_nan_true", nan_true);
   }
   return result;
-}
-
-std::vector<int> StreamingGreedyMatch(const math::Matrix& src,
-                                      const math::Matrix& tgt,
-                                      DistanceMetric metric, bool csls,
-                                      int csls_k) {
-  TopKOptions options;
-  options.k = 1;
-  options.metric = metric;
-  options.csls = csls;
-  options.csls_k = csls_k;
-  const TopKResult result = StreamingTopK(src, tgt, options);
-  std::vector<int> match(src.rows(), -1);
-  for (size_t i = 0; i < src.rows(); ++i) match[i] = result.BestIndex(i);
-  return match;
 }
 
 }  // namespace openea::align

@@ -8,7 +8,7 @@
 
 #include "src/align/similarity.h"
 #include "src/math/matrix.h"
-#include "src/math/sharded_table.h"
+#include "src/math/row_banks.h"
 
 namespace openea::align {
 
@@ -91,34 +91,20 @@ struct TopKResult {
   }
 };
 
-/// Runs the streaming engine over row embeddings (src.cols() must equal
-/// tgt.cols()).
-TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
+/// Runs the streaming engine: every source row against every target row,
+/// wherever the targets live. An in-RAM matrix converts implicitly to a
+/// math::RowBanks view; a shard-banked on-disk table
+/// (src/math/sharded_table.h) is passed as `math::RowBanks(table)`. One
+/// bank-outer scan serves both: each target bank is scanned by every chunk
+/// of source rows through the `detail::MetricRowBlock` cell kernel (the
+/// bank's row stride is the kernel's `ldb`) while the next sharded bank is
+/// prefetched, and the CSLS psi pass walks the same banks. Per-cell values
+/// are batch-independent and the selection order is a strict total order,
+/// so results are bit-identical for a matrix and its sharded copy at any
+/// thread count and any bank height (pinned by tests/sharded_table_test.cc).
+/// Peak memory is O(rows * k) plus the mapped banks.
+TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
                          const TopKOptions& options);
-
-/// Out-of-core variant: targets live in a shard-banked on-disk table
-/// (src/math/sharded_table.h) and are scanned bank by bank through the same
-/// `detail::MetricRowBlock` cell kernel (the mapped bank's padded row stride
-/// is passed as the kernel's `ldb`), with the next bank prefetched
-/// asynchronously while the current one streams. Per-cell values are
-/// batch-independent and the top-k selection order is a strict total order,
-/// so results are bit-identical to `StreamingTopK` over the materialized
-/// table at any thread count and any bank size (pinned by
-/// tests/sharded_table_test.cc). Peak memory is O(rows * k) plus the mapped
-/// banks. CSLS is not supported on this path (it needs psi over the full
-/// table; the callers that stream — eval and serving — rank raw metrics).
-TopKResult ShardedTopK(const math::Matrix& src,
-                       const math::ShardedEmbeddingTable& tgt,
-                       const TopKOptions& options);
-
-/// Streaming greedy matcher: match[i] = argmax_j sim(i, j) straight from the
-/// embeddings (with optional streaming CSLS), bit-identical to
-/// `GreedyMatch(SimilarityMatrix(src, tgt, metric))` (plus `ApplyCsls`) on
-/// NaN-free inputs, in O(N) memory. Rows with no finite candidate map to -1.
-std::vector<int> StreamingGreedyMatch(const math::Matrix& src,
-                                      const math::Matrix& tgt,
-                                      DistanceMetric metric, bool csls = false,
-                                      int csls_k = 10);
 
 namespace detail {
 

@@ -11,6 +11,7 @@
 #include "src/common/stopwatch.h"
 #include "src/common/telemetry.h"
 #include "src/common/trace.h"
+#include "src/math/row_banks.h"
 #include "src/math/sharded_table.h"
 
 namespace openea::eval {
@@ -29,14 +30,17 @@ std::pair<math::Matrix, math::Matrix> TestEmbeddings(
   return {GatherRows(model.emb1, lefts), GatherRows(model.emb2, rights)};
 }
 
-/// The mid-rank accumulation shared by every ranking entry point: per-pair
-/// ranks reduce via the ordered reduction with a fixed grain, so the sums
-/// (and therefore the metrics) are bit-identical at any thread count — and
-/// identical across the in-RAM and sharded similarity paths, which both feed
-/// their greater/tie counts through here.
-RankingMetrics MetricsFromCounts(const align::TopKResult& topk, size_t n) {
+/// The mid-rank accumulation shared by every ranking entry point: pair i's
+/// rank is rank_of(i), and the ranks reduce via the ordered reduction with a
+/// fixed grain, so the sums (and therefore the metrics) are bit-identical at
+/// any thread count. Ranks equal to `miss_rank` are candidate misses,
+/// counted under `eval/candidate_misses`.
+template <typename RankFn>
+RankingMetrics MetricsFromRanks(size_t n, RankFn rank_of,
+                                double miss_rank = 0.0) {
   struct Accum {
     double hits1 = 0, hits5 = 0, mr = 0, mrr = 0;
+    uint64_t misses = 0;
   };
   constexpr size_t kGrain = 64;
   const Accum total = ParallelReduceOrdered(
@@ -44,10 +48,8 @@ RankingMetrics MetricsFromCounts(const align::TopKResult& topk, size_t n) {
       [&](size_t begin, size_t end) {
         Accum acc;
         for (size_t i = begin; i < end; ++i) {
-          // Mid-rank tie convention (see EvaluateRanking docs): candidates
-          // tied with the true counterpart contribute half a rank each.
-          const double rank = 1.0 + static_cast<double>(topk.num_greater[i]) +
-                              0.5 * static_cast<double>(topk.num_ties[i]);
+          const double rank = rank_of(i);
+          if (rank == miss_rank) ++acc.misses;
           if (rank <= 1.0) acc.hits1 += 1;
           if (rank <= 5.0) acc.hits5 += 1;
           acc.mr += rank;
@@ -60,14 +62,59 @@ RankingMetrics MetricsFromCounts(const align::TopKResult& topk, size_t n) {
         acc.hits5 += part.hits5;
         acc.mr += part.mr;
         acc.mrr += part.mrr;
+        acc.misses += part.misses;
         return acc;
       });
+  if (total.misses > 0) {
+    telemetry::IncrCounter("eval/candidate_misses", total.misses);
+  }
   RankingMetrics metrics;
   const double dn = static_cast<double>(n);
   metrics.hits1 = total.hits1 / dn;
   metrics.hits5 = total.hits5 / dn;
   metrics.mr = total.mr / dn;
   metrics.mrr = total.mrr / dn;
+  return metrics;
+}
+
+/// The ranking body shared by the in-RAM and sharded entry points: one
+/// streaming scan of the test-left rows against the test-right rows,
+/// wherever those live, keeping no list (k = 0), only each pair's true
+/// counterpart similarity and the exact greater/tie counts against it, with
+/// cell values bit-identical to the dense SimilarityMatrix (+ ApplyCsls)
+/// path; then the mid-rank accumulation above.
+RankingMetrics RankTrueCounterparts(const math::Matrix& src,
+                                    const math::RowBanks& tgt,
+                                    align::DistanceMetric metric, bool csls) {
+  const size_t n = src.rows();
+  align::TopKResult topk;
+  {
+    telemetry::ScopedSpan span("similarity");
+    align::TopKOptions options;
+    options.k = 0;
+    options.metric = metric;
+    options.csls = csls;
+    options.true_cols.resize(n);
+    for (size_t i = 0; i < n; ++i) options.true_cols[i] = static_cast<int>(i);
+    topk = align::StreamingTopK(src, tgt, options);
+  }
+  telemetry::ScopedSpan rank_span("rank_kernel");
+  Stopwatch rank_watch;
+  telemetry::IncrCounter("eval/ranking_calls");
+  telemetry::IncrCounter("eval/test_pairs", n);
+  telemetry::IncrCounter("eval/candidates", n * n);
+  if (trace::Enabled()) {
+    trace::Counter("eval/candidates", static_cast<double>(n * n));
+  }
+  // Mid-rank tie convention (see EvaluateRanking docs): candidates tied
+  // with the true counterpart contribute half a rank each.
+  const RankingMetrics metrics = MetricsFromRanks(n, [&](size_t i) {
+    return 1.0 + static_cast<double>(topk.num_greater[i]) +
+           0.5 * static_cast<double>(topk.num_ties[i]);
+  });
+  if (telemetry::Enabled()) {
+    telemetry::Observe("eval/rank_kernel_ms", rank_watch.ElapsedMillis());
+  }
   return metrics;
 }
 
@@ -89,43 +136,10 @@ math::Matrix GatherRows(const math::Matrix& emb,
 RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
                                const kg::Alignment& test_pairs,
                                align::DistanceMetric metric, bool csls) {
-  RankingMetrics metrics;
-  if (test_pairs.empty()) return metrics;
+  if (test_pairs.empty()) return RankingMetrics();
   telemetry::ScopedSpan eval_span("eval_ranking");
-  // Ranking needs, per pair, only the true counterpart's similarity and the
-  // exact greater/tie counts against it — the streaming engine produces
-  // those in O(N) memory (no list kept, k = 0) with cell values
-  // bit-identical to the dense SimilarityMatrix (+ ApplyCsls) path.
-  align::TopKResult topk;
-  {
-    telemetry::ScopedSpan span("similarity");
-    auto [src, tgt] = TestEmbeddings(model, test_pairs);
-    align::TopKOptions options;
-    options.k = 0;
-    options.metric = metric;
-    options.csls = csls;
-    options.true_cols.resize(test_pairs.size());
-    for (size_t i = 0; i < test_pairs.size(); ++i) {
-      options.true_cols[i] = static_cast<int>(i);
-    }
-    topk = align::StreamingTopK(src, tgt, options);
-  }
-  telemetry::ScopedSpan rank_span("rank_kernel");
-  Stopwatch rank_watch;
-  telemetry::IncrCounter("eval/ranking_calls");
-  telemetry::IncrCounter("eval/test_pairs", test_pairs.size());
-  telemetry::IncrCounter("eval/candidates",
-                         test_pairs.size() * test_pairs.size());
-  if (trace::Enabled()) {
-    trace::Counter("eval/candidates", static_cast<double>(test_pairs.size() *
-                                                          test_pairs.size()));
-  }
-
-  metrics = MetricsFromCounts(topk, test_pairs.size());
-  if (telemetry::Enabled()) {
-    telemetry::Observe("eval/rank_kernel_ms", rank_watch.ElapsedMillis());
-  }
-  return metrics;
+  const auto [src, tgt] = TestEmbeddings(model, test_pairs);
+  return RankTrueCounterparts(src, tgt, metric, csls);
 }
 
 RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
@@ -141,8 +155,7 @@ RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
                                const std::vector<kg::EntityId>& dangling2,
                                align::CandidateSource& source,
                                size_t candidate_k) {
-  RankingMetrics metrics;
-  if (test_pairs.empty()) return metrics;
+  if (test_pairs.empty()) return RankingMetrics();
   OPENEA_CHECK_GT(candidate_k, 0u);
   telemetry::ScopedSpan eval_span("eval_ranking_candidates");
   align::TopKResult topk;
@@ -168,10 +181,6 @@ RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
   telemetry::IncrCounter("eval/ranking_calls");
   telemetry::IncrCounter("eval/test_pairs", test_pairs.size());
 
-  struct Accum {
-    double hits1 = 0, hits5 = 0, mr = 0, mrr = 0;
-    uint64_t misses = 0;
-  };
   // Pessimistic rank for a candidate miss: one past the *matchable* pool
   // (the test pairs), NOT the dangling-inflated pool the source indexed.
   // Distractor rows can push real ranks down by out-scoring the true
@@ -180,53 +189,26 @@ RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
   // distractors would silently deflate MR/MRR through the miss penalty
   // rather than through the ranking itself.
   const double miss_rank = static_cast<double>(test_pairs.size()) + 1.0;
-  constexpr size_t kGrain = 64;
-  const Accum total = ParallelReduceOrdered(
-      0, test_pairs.size(), kGrain, Accum{},
-      [&](size_t begin, size_t end) {
-        Accum acc;
-        for (size_t i = begin; i < end; ++i) {
-          // Recover greater/tie counts from the returned (sorted) list; the
-          // true counterpart of pair i is target column i.
-          const auto row = topk.Row(i);
-          double rank = miss_rank;
-          for (size_t t = 0; t < row.size(); ++t) {
-            if (row[t].index != static_cast<int>(i)) continue;
-            size_t greater = 0, ties = 0;
-            for (const auto& e : row) {
-              if (e.index < 0 || e.index == static_cast<int>(i)) continue;
-              if (e.value > row[t].value) ++greater;
-              else if (e.value == row[t].value) ++ties;
-            }
-            rank = 1.0 + static_cast<double>(greater) +
-                   0.5 * static_cast<double>(ties);
-            break;
+  return MetricsFromRanks(
+      test_pairs.size(),
+      [&](size_t i) {
+        // Recover greater/tie counts from the returned (sorted) list; the
+        // true counterpart of pair i is target column i.
+        const auto row = topk.Row(i);
+        for (size_t t = 0; t < row.size(); ++t) {
+          if (row[t].index != static_cast<int>(i)) continue;
+          size_t greater = 0, ties = 0;
+          for (const auto& e : row) {
+            if (e.index < 0 || e.index == static_cast<int>(i)) continue;
+            if (e.value > row[t].value) ++greater;
+            else if (e.value == row[t].value) ++ties;
           }
-          if (rank == miss_rank) ++acc.misses;
-          if (rank <= 1.0) acc.hits1 += 1;
-          if (rank <= 5.0) acc.hits5 += 1;
-          acc.mr += rank;
-          acc.mrr += 1.0 / rank;
+          return 1.0 + static_cast<double>(greater) +
+                 0.5 * static_cast<double>(ties);
         }
-        return acc;
+        return miss_rank;
       },
-      [](Accum acc, Accum part) {
-        acc.hits1 += part.hits1;
-        acc.hits5 += part.hits5;
-        acc.mr += part.mr;
-        acc.mrr += part.mrr;
-        acc.misses += part.misses;
-        return acc;
-      });
-  if (total.misses > 0) {
-    telemetry::IncrCounter("eval/candidate_misses", total.misses);
-  }
-  const double n = static_cast<double>(test_pairs.size());
-  metrics.hits1 = total.hits1 / n;
-  metrics.hits5 = total.hits5 / n;
-  metrics.mr = total.mr / n;
-  metrics.mrr = total.mrr / n;
-  return metrics;
+      miss_rank);
 }
 
 RankingMetrics EvaluateRankingSharded(const core::AlignmentModel& model,
@@ -235,62 +217,36 @@ RankingMetrics EvaluateRankingSharded(const core::AlignmentModel& model,
                                       const std::string& shard_path,
                                       size_t rows_per_bank,
                                       size_t max_resident_banks) {
-  RankingMetrics metrics;
-  if (test_pairs.empty()) return metrics;
+  if (test_pairs.empty()) return RankingMetrics();
   telemetry::ScopedSpan eval_span("eval_ranking_sharded");
-  align::TopKResult topk;
-  {
-    telemetry::ScopedSpan span("similarity");
-    // Stream the candidate rows straight to the shard file: peak memory for
-    // the target side is one bank, not N * dim, and the file that remains is
-    // a serve-loadable artifact.
-    math::ShardedTableOptions shard_opts;
-    shard_opts.rows_per_bank = rows_per_bank;
-    auto writer = math::ShardedTableWriter::Create(
-        shard_path, test_pairs.size(), model.emb2.cols(), shard_opts);
-    OPENEA_CHECK(writer.ok()) << writer.status().ToString();
-    for (const auto& p : test_pairs) {
-      OPENEA_CHECK_LT(static_cast<size_t>(p.right), model.emb2.rows());
-      const Status append = (*writer)->AppendRow(model.emb2.Row(p.right));
-      OPENEA_CHECK(append.ok()) << append.ToString();
-    }
-    const Status finalized = (*writer)->Finalize();
-    OPENEA_CHECK(finalized.ok()) << finalized.ToString();
-
-    math::ShardedEmbeddingTable::OpenOptions open_opts;
-    open_opts.max_resident_banks = max_resident_banks;
-    auto table = math::ShardedEmbeddingTable::Open(shard_path, open_opts);
-    OPENEA_CHECK(table.ok()) << table.status().ToString();
-
-    std::vector<kg::EntityId> lefts;
-    lefts.reserve(test_pairs.size());
-    for (const auto& p : test_pairs) lefts.push_back(p.left);
-    const math::Matrix src = GatherRows(model.emb1, lefts);
-
-    align::TopKOptions options;
-    options.k = 0;
-    options.metric = metric;
-    options.true_cols.resize(test_pairs.size());
-    for (size_t i = 0; i < test_pairs.size(); ++i) {
-      options.true_cols[i] = static_cast<int>(i);
-    }
-    topk = align::ShardedTopK(src, **table, options);
-  }
-  telemetry::ScopedSpan rank_span("rank_kernel");
-  Stopwatch rank_watch;
-  telemetry::IncrCounter("eval/ranking_calls");
   telemetry::IncrCounter("eval/sharded_evals");
-  telemetry::IncrCounter("eval/test_pairs", test_pairs.size());
-  telemetry::IncrCounter("eval/candidates",
-                         test_pairs.size() * test_pairs.size());
-  // Same greater/tie counts (the cell kernel is stride-agnostic and the
-  // counts are order-independent sums) through the same accumulation, so the
-  // metrics are bit-identical to the in-RAM EvaluateRanking above.
-  metrics = MetricsFromCounts(topk, test_pairs.size());
-  if (telemetry::Enabled()) {
-    telemetry::Observe("eval/rank_kernel_ms", rank_watch.ElapsedMillis());
+  // Stream the candidate rows straight to the shard file: peak memory for
+  // the target side is one bank, not N * dim, and the file that remains is
+  // a serve-loadable artifact.
+  math::ShardedTableOptions shard_opts;
+  shard_opts.rows_per_bank = rows_per_bank;
+  auto writer = math::ShardedTableWriter::Create(
+      shard_path, test_pairs.size(), model.emb2.cols(), shard_opts);
+  OPENEA_CHECK(writer.ok()) << writer.status().ToString();
+  for (const auto& p : test_pairs) {
+    OPENEA_CHECK_LT(static_cast<size_t>(p.right), model.emb2.rows());
+    const Status append = (*writer)->AppendRow(model.emb2.Row(p.right));
+    OPENEA_CHECK(append.ok()) << append.ToString();
   }
-  return metrics;
+  const Status finalized = (*writer)->Finalize();
+  OPENEA_CHECK(finalized.ok()) << finalized.ToString();
+
+  math::ShardedEmbeddingTable::OpenOptions open_opts;
+  open_opts.max_resident_banks = max_resident_banks;
+  auto table = math::ShardedEmbeddingTable::Open(shard_path, open_opts);
+  OPENEA_CHECK(table.ok()) << table.status().ToString();
+
+  std::vector<kg::EntityId> lefts;
+  lefts.reserve(test_pairs.size());
+  for (const auto& p : test_pairs) lefts.push_back(p.left);
+  return RankTrueCounterparts(GatherRows(model.emb1, lefts),
+                              math::RowBanks(*std::move(table)), metric,
+                              /*csls=*/false);
 }
 
 double Hits1(const core::AlignmentModel& model, const kg::Alignment& pairs,
@@ -308,8 +264,12 @@ std::vector<bool> CorrectlyMatched(const core::AlignmentModel& model,
   // source): greedy(+CSLS) stays at O(N*k) memory, stable marriage /
   // Kuhn-Munkres materialize the dense matrix.
   const auto [src, tgt] = TestEmbeddings(model, test_pairs);
-  const std::vector<int> match =
-      align::InferAlignment(src, tgt, metric, strategy);
+  align::CandidateSourceConfig config;
+  config.metric = metric;
+  config.csls = strategy == align::InferenceStrategy::kGreedyCsls;
+  const auto source = align::CreateCandidateSourceOrDie(config);
+  OPENEA_CHECK(source->Index(tgt).ok());
+  const std::vector<int> match = align::InferAlignment(*source, src, strategy);
   // Byte buffer rather than vector<bool>: adjacent bits share a byte, so
   // parallel writes to distinct indices of vector<bool> would race.
   std::vector<uint8_t> flags(test_pairs.size(), 0);

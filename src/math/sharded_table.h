@@ -66,8 +66,11 @@ namespace openea::math {
 /// i.e. 64 bytes).
 size_t ShardedRowStride(size_t dim);
 
+/// Default rows per bank: 4096 x 64 floats is a 1 MiB bank.
+inline constexpr size_t kDefaultRowsPerBank = 4096;
+
 struct ShardedTableOptions {
-  size_t rows_per_bank = 4096;
+  size_t rows_per_bank = kDefaultRowsPerBank;
   bool with_adagrad = false;
 };
 
@@ -129,7 +132,7 @@ class ShardedTableWriter {
 Status WriteShardedTable(const std::string& path, const Matrix& values,
                          const ShardedTableOptions& options = {});
 Status WriteShardedTable(const std::string& path, const EmbeddingTable& table,
-                         size_t rows_per_bank = 4096);
+                         size_t rows_per_bank = kDefaultRowsPerBank);
 
 /// Read side: memory-maps banks on demand and releases them bank by bank
 /// under an optional residency budget. Thread-safe; all mapping state is
@@ -227,7 +230,7 @@ class ShardedEmbeddingTable {
   Status ReadRow(size_t row, std::span<float> out) const;
 
   /// Materializes the full table (values only) in RAM. Small-N convenience
-  /// and the default CandidateSource::IndexSharded path.
+  /// and the dense-only consumers' path (math::RowBanks::ToMatrix).
   StatusOr<Matrix> ToMatrix() const;
 
   /// Materializes values + AdaGrad state (zeros when the file carries none).

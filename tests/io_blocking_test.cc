@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/align/blocking.h"
+#include "src/align/inference.h"
 #include "src/common/rng.h"
 #include "src/datagen/kg_pair.h"
 #include "src/kg/io.h"
@@ -213,7 +214,15 @@ TEST(BlockedGreedyMatchTest, NearExactOnWellSeparatedData) {
   math::Matrix emb(200, 32);
   emb.FillUniform(rng, 1.0f);
   for (size_t r = 0; r < emb.rows(); ++r) math::NormalizeL2(emb.Row(r));
-  const auto match = align::BlockedGreedyMatch(emb, emb, 10, 4, 7);
+  align::CandidateSourceConfig config;
+  config.kind = align::CandidateSourceKind::kLsh;
+  config.lsh_bits = 10;
+  config.lsh_tables = 4;
+  config.seed = 7;
+  auto source = align::CreateCandidateSourceOrDie(config);
+  ASSERT_TRUE(source->Index(emb).ok());
+  const auto match =
+      align::InferAlignment(*source, emb, align::InferenceStrategy::kGreedy);
   size_t correct = 0;
   for (size_t i = 0; i < match.size(); ++i) {
     if (match[i] == static_cast<int>(i)) ++correct;

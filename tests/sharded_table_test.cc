@@ -6,10 +6,11 @@
 //    bank (shard/short_write fault) passes Open but fails MapBank/ToMatrix
 //    with a CRC error, shard/enospc surfaces as a write Status;
 //  * the residency budget (LRU eviction, pin exemption) and prefetch;
-//  * *bit*-identity of ShardedTopK with StreamingTopK — every metric, 1 and
-//    8 threads, bank sizes that split rows unevenly — and of the exact and
+//  * *bit*-identity of StreamingTopK over a sharded table with the same scan
+//    over the in-RAM matrix — every metric, with and without CSLS, 1 and 8
+//    threads, bank sizes that split rows unevenly — and of the exact and
 //    IVF candidate sources built via IndexSharded against their in-RAM
-//    Index builds;
+//    Index builds, including dense SM/KM inference from a sharded index;
 //  * eval::EvaluateRankingSharded == eval::EvaluateRanking, bitwise.
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/align/candidate_source.h"
+#include "src/align/inference.h"
 #include "src/align/similarity.h"
 #include "src/align/topk.h"
 #include "src/common/fault.h"
@@ -33,6 +35,7 @@
 #include "src/eval/metrics.h"
 #include "src/math/embedding_table.h"
 #include "src/math/matrix.h"
+#include "src/math/row_banks.h"
 #include "src/math/sharded_table.h"
 
 namespace openea {
@@ -307,7 +310,7 @@ TEST_F(ShardedTableTest, PrefetchWarmsBanksValuesUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedTopK bit-identity.
+// Sharded top-k bit-identity.
 // ---------------------------------------------------------------------------
 
 const align::DistanceMetric kAllMetrics[] = {
@@ -352,23 +355,27 @@ TEST_F(ShardedTableTest, ShardedTopKBitIdenticalToStreaming) {
     auto sharded = math::ShardedEmbeddingTable::Open(path);
     ASSERT_TRUE(sharded.ok());
     for (const align::DistanceMetric metric : kAllMetrics) {
-      for (int threads : {1, 8}) {
-        ThreadGuard guard(threads);
-        align::TopKOptions topk_options;
-        topk_options.k = k;
-        topk_options.metric = metric;
-        topk_options.true_cols.resize(rows);
-        for (size_t i = 0; i < rows; ++i) {
-          topk_options.true_cols[i] = static_cast<int>(i % cols);
+      for (const bool csls : {false, true}) {
+        for (int threads : {1, 8}) {
+          ThreadGuard guard(threads);
+          align::TopKOptions topk_options;
+          topk_options.k = k;
+          topk_options.metric = metric;
+          topk_options.csls = csls;
+          topk_options.true_cols.resize(rows);
+          for (size_t i = 0; i < rows; ++i) {
+            topk_options.true_cols[i] = static_cast<int>(i % cols);
+          }
+          const align::TopKResult streamed =
+              align::StreamingTopK(src, tgt, topk_options);
+          const align::TopKResult banked = align::StreamingTopK(
+              src, math::RowBanks(*sharded), topk_options);
+          ExpectSameTopK(streamed, banked,
+                         std::string(align::DistanceMetricName(metric)) +
+                             " csls=" + std::to_string(csls) +
+                             " bank=" + std::to_string(rows_per_bank) +
+                             " threads=" + std::to_string(threads));
         }
-        const align::TopKResult streamed =
-            align::StreamingTopK(src, tgt, topk_options);
-        const align::TopKResult banked =
-            align::ShardedTopK(src, **sharded, topk_options);
-        ExpectSameTopK(streamed, banked,
-                       std::string(align::DistanceMetricName(metric)) +
-                           " bank=" + std::to_string(rows_per_bank) +
-                           " threads=" + std::to_string(threads));
       }
     }
   }
@@ -393,7 +400,7 @@ TEST_F(ShardedTableTest, ShardedTopKSkipsNanCellsLikeStreaming) {
   const align::TopKResult streamed =
       align::StreamingTopK(src, tgt, topk_options);
   const align::TopKResult banked =
-      align::ShardedTopK(src, **sharded, topk_options);
+      align::StreamingTopK(src, math::RowBanks(*sharded), topk_options);
   EXPECT_GT(banked.nan_cells, 0u);
   ExpectSameTopK(streamed, banked, "nan");
 }
@@ -410,67 +417,104 @@ TEST_F(ShardedTableTest, ExactSourceShardedMatchesInRam) {
   options.rows_per_bank = 16;
   ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
 
-  align::CandidateSourceConfig config;
-  config.kind = align::CandidateSourceKind::kExact;
-  auto in_ram = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(in_ram->Index(targets).ok());
-  auto out_of_core = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(out_of_core->IndexShardedFile(path).ok());
-  EXPECT_EQ(out_of_core->num_targets(), targets.rows());
-  EXPECT_EQ(out_of_core->dim(), targets.cols());
+  for (const align::DistanceMetric metric : kAllMetrics) {
+    for (const bool csls : {false, true}) {
+      align::CandidateSourceConfig config;
+      config.kind = align::CandidateSourceKind::kExact;
+      config.metric = metric;
+      config.csls = csls;
+      auto in_ram = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(in_ram->Index(targets).ok());
+      auto out_of_core = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(out_of_core->IndexShardedFile(path).ok());
+      EXPECT_EQ(out_of_core->num_targets(), targets.rows());
+      EXPECT_EQ(out_of_core->dim(), targets.cols());
 
-  for (int threads : {1, 8}) {
-    ThreadGuard guard(threads);
-    ExpectSameTopK(in_ram->TopK(queries, 10), out_of_core->TopK(queries, 10),
-                   "exact threads=" + std::to_string(threads));
+      for (int threads : {1, 8}) {
+        ThreadGuard guard(threads);
+        ExpectSameTopK(in_ram->TopK(queries, 10),
+                       out_of_core->TopK(queries, 10),
+                       std::string("exact ") +
+                           align::DistanceMetricName(metric) +
+                           " csls=" + std::to_string(csls) +
+                           " threads=" + std::to_string(threads));
+      }
+    }
   }
-}
-
-TEST_F(ShardedTableTest, ExactSourceShardedRejectsCsls) {
-  align::CandidateSourceConfig config;
-  config.kind = align::CandidateSourceKind::kExact;
-  config.csls = true;
-  auto source = align::CreateCandidateSourceOrDie(config);
-  const std::string path = Path("csls.shard");
-  ASSERT_TRUE(math::WriteShardedTable(path, RandomMatrix(8, 4, 3)).ok());
-  const Status status = source->IndexShardedFile(path);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("csls"), std::string::npos);
 }
 
 TEST_F(ShardedTableTest, AnnIvfShardedBuildMatchesInRam) {
   const math::Matrix queries = RandomMatrix(23, 16, 5);
   const math::Matrix targets = RandomMatrix(300, 16, 6);
-  const std::string path = Path("ivf.shard");
-  math::ShardedTableOptions options;
-  options.rows_per_bank = 64;
-  ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
+  // 7 rows per bank splits most inverted lists across banks; 64 fewer.
+  for (const size_t rows_per_bank : {7u, 64u}) {
+    const std::string path =
+        Path("ivf_" + std::to_string(rows_per_bank) + ".shard");
+    math::ShardedTableOptions options;
+    options.rows_per_bank = rows_per_bank;
+    ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
 
-  align::CandidateSourceConfig config;
-  config.kind = align::CandidateSourceKind::kAnnIvf;
-  config.ivf_nprobe = 4;
-  auto in_ram = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(in_ram->Index(targets).ok());
-  auto out_of_core = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(out_of_core->IndexShardedFile(path).ok());
-  EXPECT_EQ(out_of_core->num_targets(), targets.rows());
-  EXPECT_EQ(out_of_core->dim(), targets.cols());
+    for (const align::DistanceMetric metric : kAllMetrics) {
+      align::CandidateSourceConfig config;
+      config.kind = align::CandidateSourceKind::kAnnIvf;
+      config.metric = metric;
+      config.ivf_nprobe = 4;
+      auto in_ram = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(in_ram->Index(targets).ok());
+      auto out_of_core = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(out_of_core->IndexShardedFile(path).ok());
+      EXPECT_EQ(out_of_core->num_targets(), targets.rows());
+      EXPECT_EQ(out_of_core->dim(), targets.cols());
 
-  // Same seeds, same Lloyd updates (streamed in global row order), same
-  // probe routing — the sharded build must return the same candidates.
-  for (int threads : {1, 8}) {
-    ThreadGuard guard(threads);
-    const auto a = in_ram->TopK(queries, 10);
-    const auto b = out_of_core->TopK(queries, 10);
-    ASSERT_EQ(a.rows, b.rows);
-    for (size_t i = 0; i < a.rows; ++i) {
-      const auto ra = a.Row(i);
-      const auto rb = b.Row(i);
-      for (size_t t = 0; t < a.k; ++t) {
-        EXPECT_EQ(ra[t].value, rb[t].value) << "row=" << i << " t=" << t;
-        EXPECT_EQ(ra[t].index, rb[t].index) << "row=" << i << " t=" << t;
+      // Same seeds, same Lloyd updates (streamed in global row order), same
+      // probe routing — the sharded build must return the same candidates.
+      for (int threads : {1, 8}) {
+        ThreadGuard guard(threads);
+        const std::string label =
+            std::string(align::DistanceMetricName(metric)) +
+            " bank=" + std::to_string(rows_per_bank) +
+            " threads=" + std::to_string(threads);
+        const auto a = in_ram->TopK(queries, 10);
+        const auto b = out_of_core->TopK(queries, 10);
+        ASSERT_EQ(a.rows, b.rows);
+        for (size_t i = 0; i < a.rows; ++i) {
+          const auto ra = a.Row(i);
+          const auto rb = b.Row(i);
+          for (size_t t = 0; t < a.k; ++t) {
+            EXPECT_EQ(ra[t].value, rb[t].value)
+                << label << " row=" << i << " t=" << t;
+            EXPECT_EQ(ra[t].index, rb[t].index)
+                << label << " row=" << i << " t=" << t;
+          }
+        }
       }
+    }
+  }
+}
+
+// Stable marriage and Kuhn-Munkres densify the source's targets; a sharded
+// index holds no in-RAM matrix, so they must read the rows from the table.
+TEST_F(ShardedTableTest, DenseMatchersRunOnShardedIndex) {
+  const math::Matrix queries = RandomMatrix(30, 8, 81);
+  const math::Matrix targets = RandomMatrix(30, 8, 82);
+  const std::string path = Path("dense.shard");
+  math::ShardedTableOptions options;
+  options.rows_per_bank = 7;
+  ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
+  const math::Matrix sim =
+      align::SimilarityMatrix(queries, targets, align::DistanceMetric::kCosine);
+  for (const auto kind : {align::CandidateSourceKind::kExact,
+                          align::CandidateSourceKind::kAnnIvf}) {
+    align::CandidateSourceConfig config;
+    config.kind = kind;
+    auto source = align::CreateCandidateSourceOrDie(config);
+    ASSERT_TRUE(source->IndexShardedFile(path).ok());
+    for (const auto strategy : {align::InferenceStrategy::kStableMarriage,
+                                align::InferenceStrategy::kKuhnMunkres}) {
+      EXPECT_EQ(align::InferAlignment(*source, queries, strategy),
+                align::InferAlignment(sim, strategy))
+          << align::CandidateSourceKindName(kind) << " "
+          << align::InferenceStrategyName(strategy);
     }
   }
 }

@@ -131,8 +131,15 @@ TEST(StreamingTopKTest, GreedyBitIdenticalToDensePath) {
       const std::vector<int> dense_match = GreedyMatch(sim);
       for (int threads : {1, 8}) {
         ThreadGuard guard(threads);
-        EXPECT_EQ(StreamingGreedyMatch(src, tgt, metric, csls, 10),
-                  dense_match)
+        TopKOptions options;
+        options.k = 1;
+        options.metric = metric;
+        options.csls = csls;
+        options.csls_k = 10;
+        const TopKResult top1 = StreamingTopK(src, tgt, options);
+        std::vector<int> match(src.rows());
+        for (size_t i = 0; i < src.rows(); ++i) match[i] = top1.BestIndex(i);
+        EXPECT_EQ(match, dense_match)
             << DistanceMetricName(metric) << " csls=" << csls
             << " threads=" << threads;
       }
@@ -150,7 +157,11 @@ TEST(StreamingTopKTest, InferAlignmentOverloadMatchesDenseAllStrategies) {
         InferenceStrategy::kStableMarriage,
         InferenceStrategy::kStableMarriageCsls,
         InferenceStrategy::kKuhnMunkres}) {
-    EXPECT_EQ(InferAlignment(src, tgt, DistanceMetric::kCosine, strategy),
+    CandidateSourceConfig config;
+    config.csls = strategy == InferenceStrategy::kGreedyCsls;
+    auto source = CreateCandidateSourceOrDie(config);
+    ASSERT_TRUE(source->Index(tgt).ok());
+    EXPECT_EQ(InferAlignment(*source, src, strategy),
               InferAlignment(sim, strategy))
         << InferenceStrategyName(strategy);
   }
