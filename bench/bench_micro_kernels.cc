@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   const int iters = args.epochs * 2000;  // --epochs scales the measurement.
 
   Rng rng(args.seed);
-  std::vector<float> a(n), b(rows * n), out(rows), y(n), acc(n, 0.5f);
+  std::vector<float> a(n), b(rows * n), y(n), acc(n, 0.5f);
   for (float& v : a) v = rng.NextFloat(-1, 1);
   for (float& v : b) v = rng.NextFloat(-1, 1);
   for (float& v : y) v = rng.NextFloat(-1, 1);
@@ -59,9 +59,12 @@ int main(int argc, char** argv) {
 
   std::printf("== Kernel table: scalar vs dispatched (%s), n=%zu ==\n",
               backend, n);
-  TablePrinter table({"kernel", "scalar ms", "dispatch ms", "speedup"});
+  TablePrinter table(
+      {"kernel", "scalar ms", "dispatch ms", "speedup", "dispatch GFLOP/s"});
   double worst_speedup = 0.0, best_speedup = 0.0;
-  const auto run = [&](const std::string& name, const auto& body) {
+  // `flops` per call, when given, adds the dispatched rate to the table.
+  const auto run = [&](const std::string& name, const auto& body,
+                       double flops = 0.0) {
     const double scalar_ms = time_case(scalar, body);
     const double dispatch_ms = time_case(dispatch, body);
     const double speedup =
@@ -71,7 +74,10 @@ int main(int argc, char** argv) {
     }
     if (speedup > best_speedup) best_speedup = speedup;
     table.AddRow({name, FormatDouble(scalar_ms, 2),
-                  FormatDouble(dispatch_ms, 2), FormatDouble(speedup, 2)});
+                  FormatDouble(dispatch_ms, 2), FormatDouble(speedup, 2),
+                  flops > 0.0 && dispatch_ms > 0.0
+                      ? FormatDouble(flops * iters / (dispatch_ms * 1e6), 2)
+                      : "-"});
     telemetry::SetGauge("kernels/ms/" + name + "/scalar", scalar_ms);
     telemetry::SetGauge("kernels/ms/" + name + "/dispatch", dispatch_ms);
     telemetry::SetGauge("kernels/speedup/" + name, speedup);
@@ -92,18 +98,29 @@ int main(int argc, char** argv) {
   run("l1_distance", [&](const KernelTable& kt) {
     sink = sink + kt.l1_distance(a.data(), b.data(), n);
   });
-  run("dot_rows", [&](const KernelTable& kt) {
-    kt.dot_rows(a.data(), b.data(), n, out.data(), rows, n);
-    sink = sink + out[0];
-  });
-  run("squared_l2_distance_rows", [&](const KernelTable& kt) {
-    kt.squared_l2_distance_rows(a.data(), b.data(), n, out.data(), rows, n);
-    sink = sink + out[0];
-  });
-  run("l1_distance_rows", [&](const KernelTable& kt) {
-    kt.l1_distance_rows(a.data(), b.data(), n, out.data(), rows, n);
-    sink = sink + out[0];
-  });
+  // The tile kernels at the streaming top-k scan's shape: one 4-query row
+  // group against a 256-target column tile of 64-float rows.
+  const size_t tile_dim = 64, tile_queries = 4;
+  const double tile_flops = 2.0 * tile_queries * rows * tile_dim;
+  std::vector<float> tile_out(tile_queries * rows);
+  const float* queries = b.data();
+  const float* targets = b.data() + tile_queries * tile_dim;
+  run("dot_tile", [&](const KernelTable& kt) {
+    kt.dot_tile(queries, tile_dim, targets, tile_dim, tile_out.data(), rows,
+                tile_queries, rows, tile_dim);
+    sink = sink + tile_out[0];
+  }, tile_flops);
+  run("squared_l2_distance_tile", [&](const KernelTable& kt) {
+    kt.squared_l2_distance_tile(queries, tile_dim, targets, tile_dim,
+                                tile_out.data(), rows, tile_queries, rows,
+                                tile_dim);
+    sink = sink + tile_out[0];
+  }, tile_flops);
+  run("l1_distance_tile", [&](const KernelTable& kt) {
+    kt.l1_distance_tile(queries, tile_dim, targets, tile_dim, tile_out.data(),
+                        rows, tile_queries, rows, tile_dim);
+    sink = sink + tile_out[0];
+  }, tile_flops);
   run("axpy", [&](const KernelTable& kt) {
     kt.axpy(1e-9f, a.data(), y.data(), n);
     sink = sink + y[0];
@@ -143,7 +160,7 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
 
   std::printf(
-      "Shape check: with AVX2 dispatched, the reduction and row-batch\n"
+      "Shape check: with AVX2 dispatched, the reduction and tile\n"
       "kernels should beat scalar severalfold at n=%zu while the\n"
       "elementwise kernels are bound by memory bandwidth (smaller but\n"
       ">= 1x wins). Under OPENEA_KERNELS=scalar both columns time the\n"

@@ -102,45 +102,47 @@ BENCHMARK(BM_KernelL1Distance)
     ->ArgNames({"n", "avx2"})
     ->Args({512, 0})->Args({512, 1});
 
-void BM_KernelDotRows(benchmark::State& state) {
+void BM_KernelDotTile(benchmark::State& state) {
   const size_t rows = 256, n = static_cast<size_t>(state.range(0));
   const auto& kt = BackendTable(state.range(1));
   const auto a = RandomVec(n, 1), b = RandomVec(rows * n, 2);
   std::vector<float> out(rows);
   for (auto _ : state) {
-    kt.dot_rows(a.data(), b.data(), n, out.data(), rows, n);
+    kt.dot_tile(a.data(), n, b.data(), n, out.data(), rows, 1, rows, n);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_KernelDotRows)
+BENCHMARK(BM_KernelDotTile)
     ->ArgNames({"n", "avx2"})
     ->Args({32, 0})->Args({32, 1})->Args({128, 0})->Args({128, 1});
 
-void BM_KernelSquaredL2DistanceRows(benchmark::State& state) {
+void BM_KernelSquaredL2DistanceTile(benchmark::State& state) {
   const size_t rows = 256, n = static_cast<size_t>(state.range(0));
   const auto& kt = BackendTable(state.range(1));
   const auto a = RandomVec(n, 1), b = RandomVec(rows * n, 2);
   std::vector<float> out(rows);
   for (auto _ : state) {
-    kt.squared_l2_distance_rows(a.data(), b.data(), n, out.data(), rows, n);
+    kt.squared_l2_distance_tile(a.data(), n, b.data(), n, out.data(), rows, 1,
+                                rows, n);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_KernelSquaredL2DistanceRows)
+BENCHMARK(BM_KernelSquaredL2DistanceTile)
     ->ArgNames({"n", "avx2"})
     ->Args({32, 0})->Args({32, 1});
 
-void BM_KernelL1DistanceRows(benchmark::State& state) {
+void BM_KernelL1DistanceTile(benchmark::State& state) {
   const size_t rows = 256, n = static_cast<size_t>(state.range(0));
   const auto& kt = BackendTable(state.range(1));
   const auto a = RandomVec(n, 1), b = RandomVec(rows * n, 2);
   std::vector<float> out(rows);
   for (auto _ : state) {
-    kt.l1_distance_rows(a.data(), b.data(), n, out.data(), rows, n);
+    kt.l1_distance_tile(a.data(), n, b.data(), n, out.data(), rows, 1, rows,
+                        n);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_KernelL1DistanceRows)
+BENCHMARK(BM_KernelL1DistanceTile)
     ->ArgNames({"n", "avx2"})
     ->Args({32, 0})->Args({32, 1});
 

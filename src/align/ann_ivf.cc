@@ -54,10 +54,10 @@ class AnnIvfSource final : public CandidateSource {
         const float nq = query_norms.empty() ? 0.0f : query_norms[i];
         // Rank the coarse quantizer: one batched call over all centroids,
         // probe selection under the shared total order.
-        detail::MetricRowBlock(
-            config_.metric, q.data(), nq, centroids_.Row(0).data(), dim,
-            centroid_norms_.empty() ? nullptr : centroid_norms_.data(),
-            centroid_sims.data(), num_lists_, dim);
+        detail::MetricBlock(
+            config_.metric, q.data(), dim, &nq, 1, centroids_.Row(0).data(),
+            dim, centroid_norms_.empty() ? nullptr : centroid_norms_.data(),
+            num_lists_, centroid_sims.data(), num_lists_, dim);
         size_t probe_count = 0;
         for (size_t c = 0; c < num_lists_; ++c) {
           if (std::isnan(centroid_sims[c])) continue;
@@ -77,10 +77,11 @@ class AnnIvfSource final : public CandidateSource {
             const size_t chunk_end =
                 std::min(hi, bank->first_row() + bank->rows());
             cell_buf.resize(chunk_end - pos);
-            detail::MetricRowBlock(
-                config_.metric, q.data(), nq, bank->Row(pos), bank->stride(),
+            detail::MetricBlock(
+                config_.metric, q.data(), dim, &nq, 1, bank->Row(pos),
+                bank->stride(),
                 packed_norms_.empty() ? nullptr : packed_norms_.data() + pos,
-                cell_buf.data(), chunk_end - pos, dim);
+                chunk_end - pos, cell_buf.data(), chunk_end - pos, dim);
             for (size_t s = pos; s < chunk_end; ++s) {
               const float v = cell_buf[s - pos];
               if (std::isnan(v)) {
@@ -168,26 +169,33 @@ class AnnIvfSource final : public CandidateSource {
       Status walked =
           targets_.ForEachBank([&](const math::RowBanks::Bank& bank) {
         ParallelFor(0, bank.rows(), kQueryGrain, [&](size_t begin, size_t end) {
-          std::vector<float> sims(num_lists_);
-          for (size_t r = begin; r < end; ++r) {
-            const std::span<const float> row(
-                bank.values() + r * bank.stride(), dim);
-            const float nq = cosine ? math::L2Norm(row) : 0.0f;
-            detail::MetricRowBlock(
-                config_.metric, row.data(), nq, centroids_.Row(0).data(), dim,
-                centroid_norms_.empty() ? nullptr : centroid_norms_.data(),
-                sims.data(), num_lists_, dim);
+          // The chunk's rows against every centroid in one multi-row block.
+          const size_t chunk = end - begin;
+          std::vector<float> sims(chunk * num_lists_);
+          std::vector<float> norms(cosine ? chunk : 0);
+          const float* rows = bank.values() + begin * bank.stride();
+          for (size_t r = 0; cosine && r < chunk; ++r) {
+            norms[r] = math::L2Norm(
+                std::span<const float>(rows + r * bank.stride(), dim));
+          }
+          detail::MetricBlock(
+              config_.metric, rows, bank.stride(), norms.data(), chunk,
+              centroids_.Row(0).data(), dim,
+              centroid_norms_.empty() ? nullptr : centroid_norms_.data(),
+              num_lists_, sims.data(), num_lists_, dim);
+          for (size_t r = 0; r < chunk; ++r) {
+            const float* row_sims = sims.data() + r * num_lists_;
             int best = 0;
-            float best_value = sims[0];
+            float best_value = row_sims[0];
             for (size_t c = 1; c < num_lists_; ++c) {
               // NaN sims never beat: the comparison is false, so the point
               // stays on the lowest finite (or 0th) centroid.
-              if (sims[c] > best_value) {
+              if (row_sims[c] > best_value) {
                 best = static_cast<int>(c);
-                best_value = sims[c];
+                best_value = row_sims[c];
               }
             }
-            assign[bank.first_row() + r] = best;
+            assign[bank.first_row() + begin + r] = best;
           }
         });
       });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/align/ann_ivf.h"
@@ -147,15 +148,17 @@ class LshSource final : public CandidateSource {
 }  // namespace
 
 Status CandidateSource::Index(const math::Matrix& targets) {
-  targets_ = math::RowBanks(std::make_shared<const math::Matrix>(targets));
-  const Status built = Build();
-  indexed_ = built.ok();
-  return built;
+  return IndexRows(
+      math::RowBanks(std::make_shared<const math::Matrix>(targets)));
 }
 
 Status CandidateSource::IndexSharded(
     std::shared_ptr<const math::ShardedEmbeddingTable> table) {
-  targets_ = math::RowBanks(std::move(table));
+  return IndexRows(math::RowBanks(std::move(table)));
+}
+
+Status CandidateSource::IndexRows(math::RowBanks targets) {
+  targets_ = std::move(targets);
   const Status built = Build();
   indexed_ = built.ok();
   return built;

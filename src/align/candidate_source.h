@@ -25,7 +25,7 @@ namespace openea::align {
 ///  * TopK rows are sorted by the strict total order (value desc, index
 ///    asc) and padded with {-inf, -1}, exactly like `StreamingTopK`.
 ///  * Every similarity value is produced by the shared cell kernel
-///    (`detail::MetricRowBlock`), so a candidate's score is bit-identical
+///    (`detail::MetricBlock`), so a candidate's score is bit-identical
 ///    across sources; sources differ only in WHICH candidates they score.
 ///  * `ExactTopKSource` scores every target, so its TopK result is
 ///    bit-identical to `StreamingTopK` at any thread count.
@@ -104,6 +104,13 @@ class CandidateSource {
   /// Convenience: ShardedEmbeddingTable::Open(path) + IndexSharded.
   Status IndexShardedFile(const std::string& path);
 
+  /// Builds the index over `targets` without copying them: the source keeps
+  /// this view, so it must own its rows (a RowBanks made from a shared_ptr)
+  /// or they must outlive the source. Index and IndexSharded end here; a
+  /// caller that already holds an owning view (the align-serve model) shares
+  /// it, so the rows exist once.
+  Status IndexRows(math::RowBanks targets);
+
   /// Per-query-row top-k candidates (value desc, index asc, padded with
   /// {-inf, -1}). `queries` must have dim() columns; requires Index() first.
   /// CSLS-configured sources rank over adjusted similarities.
@@ -129,8 +136,7 @@ class CandidateSource {
   explicit CandidateSource(const CandidateSourceConfig& config)
       : config_(config) {}
 
-  /// Builds the kind's index over targets_ (already set by Index or
-  /// IndexSharded).
+  /// Builds the kind's index over targets_ (already set by IndexRows).
   virtual Status Build() = 0;
 
   CandidateSourceConfig config_;

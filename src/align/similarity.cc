@@ -1,9 +1,10 @@
 #include "src/align/similarity.h"
 
 #include <algorithm>
-#include <vector>
-
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
@@ -24,32 +25,65 @@ const char* DistanceMetricName(DistanceMetric metric) {
 }
 
 namespace detail {
+namespace {
 
-void MetricRowBlock(DistanceMetric metric, const float* a, float na,
-                    const float* b, size_t ldb, const float* tgt_norms,
-                    float* out, size_t count, size_t n) {
+/// `x` when `keep`, else +0.0f, through a bit mask: the compiler does not
+/// turn a float select over a division into a branch-free one (the division
+/// could trap), but it vectorizes this.
+inline float KeepOrZero(float x, bool keep) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  bits &= 0u - static_cast<uint32_t>(keep);
+  float out;
+  std::memcpy(&out, &bits, sizeof(out));
+  return out;
+}
+
+}  // namespace
+
+void MetricBlock(DistanceMetric metric, const float* a, size_t lda,
+                 const float* a_norms, size_t q_rows, const float* b,
+                 size_t ldb, const float* b_norms, size_t r_rows, float* out,
+                 size_t ldo, size_t n) {
   const math::kernels::KernelTable& kt = math::kernels::Active();
+  // The per-cell scaling below is branch-free over each output row, so it
+  // vectorizes; every lane gives the float of the scalar expression.
   switch (metric) {
     case DistanceMetric::kCosine:
       // Same guard and final expression as math::CosineSimilarity; the
       // norms are pure per-row functions, so caching them is bitwise
       // equivalent to recomputing per pair.
-      kt.dot_rows(a, b, ldb, out, count, n);
-      for (size_t r = 0; r < count; ++r) {
-        const float nb = tgt_norms[r];
-        out[r] = (na < 1e-12f || nb < 1e-12f) ? 0.0f : out[r] / (na * nb);
+      kt.dot_tile(a, lda, b, ldb, out, ldo, q_rows, r_rows, n);
+      for (size_t q = 0; q < q_rows; ++q) {
+        float* row = out + q * ldo;
+        const float na = a_norms[q];
+        if (na < 1e-12f) {
+          std::fill(row, row + r_rows, 0.0f);
+          continue;
+        }
+        for (size_t r = 0; r < r_rows; ++r) {
+          row[r] = KeepOrZero(row[r] / (na * b_norms[r]),
+                              !(b_norms[r] < 1e-12f));
+        }
       }
       break;
     case DistanceMetric::kEuclidean:
-      kt.squared_l2_distance_rows(a, b, ldb, out, count, n);
-      for (size_t r = 0; r < count; ++r) out[r] = -std::sqrt(out[r]);
+      kt.squared_l2_distance_tile(a, lda, b, ldb, out, ldo, q_rows, r_rows,
+                                  n);
+      for (size_t q = 0; q < q_rows; ++q) {
+        float* row = out + q * ldo;
+        for (size_t r = 0; r < r_rows; ++r) row[r] = -std::sqrt(row[r]);
+      }
       break;
     case DistanceMetric::kManhattan:
-      kt.l1_distance_rows(a, b, ldb, out, count, n);
-      for (size_t r = 0; r < count; ++r) out[r] = -out[r];
+      kt.l1_distance_tile(a, lda, b, ldb, out, ldo, q_rows, r_rows, n);
+      for (size_t q = 0; q < q_rows; ++q) {
+        float* row = out + q * ldo;
+        for (size_t r = 0; r < r_rows; ++r) row[r] = -row[r];
+      }
       break;
     case DistanceMetric::kInner:
-      kt.dot_rows(a, b, ldb, out, count, n);
+      kt.dot_tile(a, lda, b, ldb, out, ldo, q_rows, r_rows, n);
       break;
   }
 }
@@ -70,17 +104,18 @@ math::Matrix SimilarityMatrix(const math::Matrix& src,
     tgt_norms = math::RowNorms(tgt);
   }
   // Row-parallel: every similarity cell is written exactly once, so the
-  // result is bit-identical at any thread count. Each output row is one
-  // batched call over all targets.
+  // result is bit-identical at any thread count. Each chunk of output rows
+  // is one multi-row block over all targets.
   ParallelFor(0, src.rows(), 0, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      detail::MetricRowBlock(metric, src.Row(i).data(),
-                             src_norms.empty() ? 0.0f : src_norms[i],
-                             tgt.rows() > 0 ? tgt.Row(0).data() : nullptr,
-                             tgt.cols(),
-                             tgt_norms.empty() ? nullptr : tgt_norms.data(),
-                             sim.Row(i).data(), tgt.rows(), tgt.cols());
-    }
+    detail::MetricBlock(metric, src.Row(row_begin).data(), src.cols(),
+                        src_norms.empty() ? nullptr
+                                          : src_norms.data() + row_begin,
+                        row_end - row_begin,
+                        tgt.rows() > 0 ? tgt.Row(0).data() : nullptr,
+                        tgt.cols(),
+                        tgt_norms.empty() ? nullptr : tgt_norms.data(),
+                        tgt.rows(), sim.Row(row_begin).data(), tgt.rows(),
+                        tgt.cols());
   });
   return sim;
 }

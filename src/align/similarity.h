@@ -27,26 +27,28 @@ void ApplyCsls(math::Matrix& sim, int k = 10);
 
 namespace detail {
 
-/// Fills out[0..count) with the similarity of source row `a` (length n,
-/// L2 norm `na` — used by cosine only) against `count` consecutive target
-/// rows starting at `b`, each `ldb` floats apart. `tgt_norms` points at the
-/// per-target-row L2 norms for cosine and may be null otherwise.
+/// Fills the (q_rows x r_rows) block out[q * ldo + r] with the similarity
+/// of source row q (at a + q * lda, L2 norm a_norms[q]) against target row r
+/// (at b + r * ldb, L2 norm b_norms[r]), all rows n floats long. The norms
+/// are read by cosine only and may be null for the other metrics.
 ///
-/// This is THE cell kernel: the dense SimilarityMatrix and the streaming
-/// top-k both produce every similarity value through this one function on
-/// top of the dispatched row-batch kernels (src/math/kernels.h), which is
-/// what keeps the two paths bit-identical to each other under either
-/// backend.
-void MetricRowBlock(DistanceMetric metric, const float* a, float na,
-                    const float* b, size_t ldb, const float* tgt_norms,
-                    float* out, size_t count, size_t n);
+/// This is THE cell kernel: the dense SimilarityMatrix, the streaming top-k,
+/// the IVF build and probes and every candidate source produce each
+/// similarity value through this one function on top of the dispatched
+/// tile kernels (src/math/kernels.h). A cell's value does not depend on the
+/// block it was computed in, which is what keeps all of them bit-identical
+/// to each other under either backend.
+void MetricBlock(DistanceMetric metric, const float* a, size_t lda,
+                 const float* a_norms, size_t q_rows, const float* b,
+                 size_t ldb, const float* b_norms, size_t r_rows, float* out,
+                 size_t ldo, size_t n);
 
-/// One similarity cell: MetricRowBlock with a block of one, so a single
-/// cell is bit-identical to the same cell of any blocked scan.
+/// One similarity cell: a 1 x 1 MetricBlock, so a single cell is
+/// bit-identical to the same cell of any blocked scan.
 inline float MetricCell(DistanceMetric metric, const float* a, float na,
                         const float* b, float nb, size_t n) {
   float out = 0.0f;
-  MetricRowBlock(metric, a, na, b, n, &nb, &out, 1, n);
+  MetricBlock(metric, a, n, &na, 1, b, n, &nb, 1, &out, 1, n);
   return out;
 }
 

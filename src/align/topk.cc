@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "src/common/logging.h"
@@ -16,8 +17,14 @@ namespace {
 /// count) so the chunk layout — and with it every telemetry block count —
 /// is identical at any thread count.
 constexpr size_t kRowGrain = 8;
-/// Default column-tile width: 256 targets x 64 dims x 4 bytes = 64 KiB,
-/// small enough to stay L2-resident while a row chunk streams over it.
+/// Query rows per tile-kernel call: the 4-query height of the AVX2 register
+/// tile (src/math/kernels_avx2.cc), two groups per row chunk.
+constexpr size_t kGroupRows = 4;
+/// Default column-tile width: 256 targets x 64 dims x 4 bytes = 64 KiB of
+/// target rows, which the row groups of a chunk reuse from L1/L2 before the
+/// scan moves to the next tile, so a bank is read once per row chunk rather
+/// than once per row. The 4 x 256 cell block of a row group (4 KiB) stays
+/// in L1 for the epilogue.
 constexpr size_t kDefaultColBlock = 256;
 /// Fixed number of row bands of the CSLS psi pass. Band-local per-column
 /// top-k buffers cost kPsiBands * cols * csls_k floats, keeping the pass at
@@ -65,6 +72,63 @@ inline float MeanDescending(const float* vals, uint32_t count) {
   return sum / static_cast<float>(count);
 }
 
+/// Number of NaN cells in v[0..n). Branch-free, so it vectorizes.
+inline uint64_t CountNan(const float* v, size_t n) {
+  uint32_t nans = 0;
+  for (size_t j = 0; j < n; ++j) nans += v[j] != v[j];
+  return nans;
+}
+
+/// v[j] = CslsAdjust(v[j], psi_src, psi_tgt[j]) over a row of cells.
+inline void AdjustRow(float* v, size_t n, float psi_src,
+                      const float* psi_tgt) {
+  for (size_t j = 0; j < n; ++j) v[j] = CslsAdjust(v[j], psi_src, psi_tgt[j]);
+}
+
+/// Adds to `greater` / `ties` the cells of v[0..n) strictly greater than /
+/// equal to `than`. Branch-free: a NaN cell (or a NaN `than`) adds to
+/// neither, as a comparison with NaN is false.
+inline void CountAgainst(const float* v, size_t n, float than,
+                         uint32_t& greater, uint32_t& ties) {
+  uint32_t g = 0, t = 0;
+  for (size_t j = 0; j < n; ++j) {
+    g += v[j] > than;
+    t += v[j] == than;
+  }
+  greater += g;
+  ties += t;
+}
+
+/// The value a candidate must reach to enter a sorted top-k value buffer:
+/// its worst kept value once full, else -inf (any non-NaN value enters).
+inline float Floor(const float* worst, uint32_t count, size_t k) {
+  return count == k ? *worst : kNegInf;
+}
+
+/// Four floats, and four comparison results, as GCC/Clang generic vectors
+/// (the baseline x86-64 ISA's register width: wider generic vectors are
+/// split lane by lane).
+typedef float Lanes4 __attribute__((vector_size(16)));
+typedef int32_t Mask4 __attribute__((vector_size(16)));
+
+/// Pass one's reject for the 8 cells v[0..8): true when some cell reaches
+/// the row floor or its column's floor. Branch-free over the lanes, so the
+/// common all-rejected block costs four vector compares; a NaN reaches no
+/// floor.
+inline bool AnyReaches(const float* v, float row_floor,
+                       const float* col_floors) {
+  Mask4 hits = {};
+  for (size_t half = 0; half < 8; half += 4) {
+    Lanes4 cells, floors;
+    std::memcpy(&cells, v + half, sizeof(cells));
+    std::memcpy(&floors, col_floors + half, sizeof(floors));
+    hits |= (cells >= row_floor) | (cells >= floors);
+  }
+  uint64_t words[2];
+  std::memcpy(words, &hits, sizeof(words));
+  return (words[0] | words[1]) != 0;
+}
+
 /// Pass one of streaming CSLS: one walk over the target banks fills
 /// per-row top-k value buffers (for psi_src, the mean top-k similarity of
 /// each source row) and per-column ones local to a fixed band layout of the
@@ -90,15 +154,18 @@ void ComputeCslsPsi(const math::Matrix& src, const math::RowBanks& tgt,
 
   const size_t num_bands = std::min(kPsiBands, rows);
   const size_t band_rows = (rows + num_bands - 1) / num_bands;
-  // Band-local per-column and per-row top-k value buffers plus fill counts.
+  // Band-local per-column and per-row top-k value buffers plus fill counts,
+  // and each column's current floor (Floor of its buffer).
   struct Band {
-    std::vector<float> col_vals, row_vals;
+    std::vector<float> col_vals, row_vals, col_floors;
     std::vector<uint32_t> col_counts, row_counts;
   };
   std::vector<Band> bands(num_bands);
 
   const Status walked = tgt.ForEachBank([&](const math::RowBanks::Bank& bank) {
     ParallelFor(0, num_bands, 1, [&](size_t bb, size_t be) {
+      const size_t tile = std::min(col_block, bank.rows());
+      std::vector<float> cell_buf(kGroupRows * tile);
       for (size_t b = bb; b < be; ++b) {
         const size_t row_begin = b * band_rows;
         const size_t row_end = std::min(rows, row_begin + band_rows);
@@ -107,35 +174,55 @@ void ComputeCslsPsi(const math::Matrix& src, const math::RowBanks& tgt,
         if (band.col_counts.empty()) {
           band.col_vals.assign(cols * kk_tgt, kNegInf);
           band.col_counts.assign(cols, 0);
+          band.col_floors.assign(cols, kNegInf);
           band.row_vals.assign((row_end - row_begin) * kk_src, kNegInf);
           band.row_counts.assign(row_end - row_begin, 0);
         }
         uint64_t local_nan = 0;
         uint64_t local_blocks = 0;
-        std::vector<float> cell_buf(std::min(col_block, bank.rows()));
         for (size_t jo = 0; jo < bank.rows(); jo += col_block) {
-          const size_t je = std::min(bank.rows(), jo + col_block);
+          const size_t width = std::min(bank.rows(), jo + col_block) - jo;
           const size_t first = bank.first_row() + jo;
+          float* col_floors = band.col_floors.data() + first;
           ++local_blocks;
-          for (size_t i = row_begin; i < row_end; ++i) {
-            float* rvals = band.row_vals.data() + (i - row_begin) * kk_src;
-            uint32_t& rcount = band.row_counts[i - row_begin];
-            // One batched kernel call per (row, column tile).
-            detail::MetricRowBlock(
-                metric, src.Row(i).data(),
-                src_norms.empty() ? 0.0f : src_norms[i],
+          for (size_t g = row_begin; g < row_end; g += kGroupRows) {
+            const size_t group = std::min(kGroupRows, row_end - g);
+            detail::MetricBlock(
+                metric, src.Row(g).data(), dim,
+                src_norms.empty() ? nullptr : src_norms.data() + g, group,
                 bank.values() + jo * bank.stride(), bank.stride(),
-                tgt_norms.empty() ? nullptr : tgt_norms.data() + first,
-                cell_buf.data(), je - jo, dim);
-            for (size_t j = 0; j < je - jo; ++j) {
-              const float s = cell_buf[j];
-              if (std::isnan(s)) {
-                ++local_nan;
-                continue;
+                tgt_norms.empty() ? nullptr : tgt_norms.data() + first, width,
+                cell_buf.data(), tile, dim);
+            for (size_t q = 0; q < group; ++q) {
+              const float* v = cell_buf.data() + q * tile;
+              const size_t r = g + q - row_begin;
+              float* rvals = band.row_vals.data() + r * kk_src;
+              uint32_t& rcount = band.row_counts[r];
+              local_nan += CountNan(v, width);
+              // Values below both floors would leave both buffers as they
+              // are; the value-only buffers hold the same k-largest
+              // multiset whichever calls are skipped, so psi stays exact.
+              float row_floor = Floor(rvals, rcount, kk_src);
+              for (size_t j0 = 0; j0 < width; j0 += 8) {
+                const size_t lanes = std::min<size_t>(8, width - j0);
+                if (lanes == 8 && !AnyReaches(v + j0, row_floor,
+                                              col_floors + j0)) {
+                  continue;
+                }
+                for (size_t j = j0; j < j0 + lanes; ++j) {
+                  const float s = v[j];
+                  if (s >= row_floor) {
+                    InsertValue(rvals, rcount, kk_src, s);
+                    row_floor = Floor(rvals, rcount, kk_src);
+                  }
+                  if (s >= col_floors[j]) {
+                    float* cvals = band.col_vals.data() + (first + j) * kk_tgt;
+                    uint32_t& ccount = band.col_counts[first + j];
+                    InsertValue(cvals, ccount, kk_tgt, s);
+                    col_floors[j] = Floor(cvals, ccount, kk_tgt);
+                  }
+                }
               }
-              InsertValue(rvals, rcount, kk_src, s);
-              InsertValue(band.col_vals.data() + (first + j) * kk_tgt,
-                          band.col_counts[first + j], kk_tgt, s);
             }
           }
         }
@@ -219,9 +306,6 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
     ComputeCslsPsi(src, tgt, options.metric, options.csls_k, col_block,
                    src_norms, tgt_norms, psi_src, psi_tgt, nan_cells);
   }
-  const auto adjust = [&](float s, size_t i, size_t j) {
-    return options.csls ? CslsAdjust(s, psi_src[i], psi_tgt[j]) : s;
-  };
 
   if (has_true) {
     // True-column cells first (the scan counts against them), grouped by
@@ -244,7 +328,8 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
             options.metric, src.Row(i).data(),
             src_norms.empty() ? 0.0f : src_norms[i], bank.Row(tc),
             tgt_norms.empty() ? 0.0f : tgt_norms[tc], dim);
-        result.true_sim[i] = adjust(raw, i, tc);
+        result.true_sim[i] =
+            options.csls ? CslsAdjust(raw, psi_src[i], psi_tgt[tc]) : raw;
       }
     });
     OPENEA_CHECK(walked.ok()) << walked.ToString();
@@ -253,57 +338,71 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
   // Bank-outer scan with per-row selection state kept across banks. Row
   // chunk boundaries are fixed by kRowGrain, so a row is only ever touched
   // by the thread owning its chunk within a bank, and the ParallelFor
-  // barrier orders the banks.
+  // barrier orders the banks. Inside a chunk, column tiles are outer and
+  // 4-row groups inner: each tile-kernel call fills a 4 x tile cell block,
+  // and a branch-free epilogue per row applies CSLS and counts NaN,
+  // greater and tied cells; only cells that reach the row's k-th value go
+  // on to the top-k insert.
   std::vector<size_t> counts(rows, 0);
   {
     telemetry::ScopedSpan scan_span("topk_scan");
     const Status walked =
         tgt.ForEachBank([&](const math::RowBanks::Bank& bank) {
       ParallelFor(0, rows, kRowGrain, [&](size_t row_begin, size_t row_end) {
-        std::vector<float> cell_buf(std::min(col_block, bank.rows()));
+        const size_t tile = std::min(col_block, bank.rows());
+        std::vector<float> cell_buf(kGroupRows * tile);
         uint64_t local_nan = 0;
         uint64_t local_blocks = 0;
-        for (size_t i = row_begin; i < row_end; ++i) {
-          const auto a = src.Row(i);
-          const float na = src_norms.empty() ? 0.0f : src_norms[i];
-          const int true_col = has_true ? options.true_cols[i] : -1;
-          const float true_val = has_true ? result.true_sim[i] : 0.0f;
-          TopKEntry* ents =
-              options.k > 0 ? result.entries.data() + i * options.k : nullptr;
-          uint32_t greater = 0, ties = 0;
-          for (size_t jo = 0; jo < bank.rows(); jo += col_block) {
-            const size_t je = std::min(bank.rows(), jo + col_block);
-            const size_t first = bank.first_row() + jo;
-            ++local_blocks;
-            // One batched kernel call per column tile.
-            detail::MetricRowBlock(
-                options.metric, a.data(), na,
+        for (size_t jo = 0; jo < bank.rows(); jo += col_block) {
+          const size_t width = std::min(bank.rows(), jo + col_block) - jo;
+          const size_t first = bank.first_row() + jo;
+          local_blocks += row_end - row_begin;
+          for (size_t g = row_begin; g < row_end; g += kGroupRows) {
+            const size_t group = std::min(kGroupRows, row_end - g);
+            detail::MetricBlock(
+                options.metric, src.Row(g).data(), dim,
+                src_norms.empty() ? nullptr : src_norms.data() + g, group,
                 bank.values() + jo * bank.stride(), bank.stride(),
-                tgt_norms.empty() ? nullptr : tgt_norms.data() + first,
-                cell_buf.data(), je - jo, dim);
-            for (size_t j = 0; j < je - jo; ++j) {
-              const size_t col = first + j;
-              const float v = adjust(cell_buf[j], i, col);
-              if (std::isnan(v)) {
-                ++local_nan;
-                continue;
+                tgt_norms.empty() ? nullptr : tgt_norms.data() + first, width,
+                cell_buf.data(), tile, dim);
+            for (size_t q = 0; q < group; ++q) {
+              const size_t i = g + q;
+              float* v = cell_buf.data() + q * tile;
+              if (options.csls) {
+                AdjustRow(v, width, psi_src[i], psi_tgt.data() + first);
+              }
+              local_nan += CountNan(v, width);
+              if (has_true) {
+                const float true_val = result.true_sim[i];
+                uint32_t greater = 0, ties = 0;
+                CountAgainst(v, width, true_val, greater, ties);
+                // The true column is not its own competitor. Its cell here
+                // equals true_sim bit for bit, so this takes back exactly
+                // the tie it was counted as (nothing when true_sim is NaN).
+                const size_t tc = static_cast<size_t>(options.true_cols[i]);
+                if (tc >= first && tc < first + width) {
+                  const float own = v[tc - first];
+                  greater -= own > true_val;
+                  ties -= own == true_val;
+                }
+                result.num_greater[i] += greater;
+                result.num_ties[i] += ties;
               }
               if (options.k > 0) {
-                detail::TopKInsert(ents, counts[i], options.k, v,
-                                   static_cast<int>(col));
-              }
-              if (has_true && static_cast<int>(col) != true_col) {
-                if (v > true_val) {
-                  ++greater;
-                } else if (v == true_val) {
-                  ++ties;
+                TopKEntry* ents = result.entries.data() + i * options.k;
+                size_t& count = counts[i];
+                float floor = count == options.k ? ents[count - 1].value
+                                                 : kNegInf;
+                for (size_t j = 0; j < width; ++j) {
+                  // A NaN cell or one below the k-th kept value cannot
+                  // enter; TopKInsert settles ties on the column.
+                  if (!(v[j] >= floor)) continue;
+                  detail::TopKInsert(ents, count, options.k, v[j],
+                                     static_cast<int>(first + j));
+                  if (count == options.k) floor = ents[count - 1].value;
                 }
               }
             }
-          }
-          if (has_true) {
-            result.num_greater[i] += greater;
-            result.num_ties[i] += ties;
           }
         }
         if (local_nan > 0) {

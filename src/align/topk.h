@@ -96,9 +96,10 @@ struct TopKResult {
 /// math::RowBanks view; a shard-banked on-disk table
 /// (src/math/sharded_table.h) is passed as `math::RowBanks(table)`. One
 /// bank-outer scan serves both: each target bank is scanned by every chunk
-/// of source rows through the `detail::MetricRowBlock` cell kernel (the
-/// bank's row stride is the kernel's `ldb`) while the next sharded bank is
-/// prefetched, and the CSLS psi pass walks the same banks. Per-cell values
+/// of source rows, column tile by column tile, through the
+/// `detail::MetricBlock` cell kernel, 4 source rows per call (the bank's row
+/// stride is the kernel's `ldb`), while the next sharded bank is prefetched,
+/// and the CSLS psi pass walks the same banks. Per-cell values
 /// are batch-independent and the selection order is a strict total order,
 /// so results are bit-identical for a matrix and its sharded copy at any
 /// thread count and any bank height (pinned by tests/sharded_table_test.cc).

@@ -46,22 +46,15 @@ float ScalarL1Distance(const float* a, const float* b, size_t n) {
   return sum;
 }
 
-void ScalarDotRows(const float* a, const float* b, size_t ldb, float* out,
-                   size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) out[r] = ScalarDot(a, b + r * ldb, n);
-}
-
-void ScalarSquaredL2DistanceRows(const float* a, const float* b, size_t ldb,
-                                 float* out, size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = ScalarSquaredL2Distance(a, b + r * ldb, n);
-  }
-}
-
-void ScalarL1DistanceRows(const float* a, const float* b, size_t ldb,
-                          float* out, size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = ScalarL1Distance(a, b + r * ldb, n);
+/// One sequential sum per cell: the tile is the cell kernel in a loop.
+template <float (*Cell)(const float*, const float*, size_t)>
+void ScalarTile(const float* a, size_t lda, const float* b, size_t ldb,
+                float* out, size_t ldo, size_t q_rows, size_t r_rows,
+                size_t n) {
+  for (size_t q = 0; q < q_rows; ++q) {
+    for (size_t r = 0; r < r_rows; ++r) {
+      out[q * ldo + r] = Cell(a + q * lda, b + r * ldb, n);
+    }
   }
 }
 
@@ -118,9 +111,9 @@ constexpr KernelTable kScalarTable = {
     /*l1=*/ScalarL1,
     /*squared_l2_distance=*/ScalarSquaredL2Distance,
     /*l1_distance=*/ScalarL1Distance,
-    /*dot_rows=*/ScalarDotRows,
-    /*squared_l2_distance_rows=*/ScalarSquaredL2DistanceRows,
-    /*l1_distance_rows=*/ScalarL1DistanceRows,
+    /*dot_tile=*/ScalarTile<ScalarDot>,
+    /*squared_l2_distance_tile=*/ScalarTile<ScalarSquaredL2Distance>,
+    /*l1_distance_tile=*/ScalarTile<ScalarL1Distance>,
     /*axpy=*/ScalarAxpy,
     /*scale=*/ScalarScale,
     /*add=*/ScalarAdd,

@@ -52,17 +52,23 @@ struct KernelTable {
   /// sum_i |a[i] - b[i]|.
   float (*l1_distance)(const float* a, const float* b, size_t n);
 
-  // -- Batched distance rows (one source row vs a block of target rows,
-  //    each row `ldb` floats apart). out[r] gets the same float the cell
-  //    kernel above would produce for row r — the streaming top-k and the
-  //    dense similarity matrix both ride these, which is what keeps them
-  //    bit-identical to each other under either backend. -------------------
-  void (*dot_rows)(const float* a, const float* b, size_t ldb, float* out,
-                   size_t rows, size_t n);
-  void (*squared_l2_distance_rows)(const float* a, const float* b, size_t ldb,
-                                   float* out, size_t rows, size_t n);
-  void (*l1_distance_rows)(const float* a, const float* b, size_t ldb,
-                           float* out, size_t rows, size_t n);
+  // -- Query x target tiles: q_rows query rows (`lda` floats apart) against
+  //    r_rows target rows (`ldb` floats apart); the cell of query q and
+  //    target r goes to out[q * ldo + r]. Every cell gets exactly the float
+  //    the cell kernel above gives for that (query, target) pair, whatever
+  //    the tile shape, so the streaming top-k, the dense similarity matrix
+  //    and the IVF build stay bit-identical to each other and to a per-cell
+  //    scan under either backend. q_rows == 1 is the one-row call (ldo is
+  //    then unused). ---------------------------------------------------------
+  void (*dot_tile)(const float* a, size_t lda, const float* b, size_t ldb,
+                   float* out, size_t ldo, size_t q_rows, size_t r_rows,
+                   size_t n);
+  void (*squared_l2_distance_tile)(const float* a, size_t lda, const float* b,
+                                   size_t ldb, float* out, size_t ldo,
+                                   size_t q_rows, size_t r_rows, size_t n);
+  void (*l1_distance_tile)(const float* a, size_t lda, const float* b,
+                           size_t ldb, float* out, size_t ldo, size_t q_rows,
+                           size_t r_rows, size_t n);
 
   // -- Elementwise (bit-identical across backends). ------------------------
   /// y[i] += alpha * x[i].

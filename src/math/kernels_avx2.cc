@@ -122,22 +122,179 @@ float Avx2L1Distance(const float* a, const float* b, size_t n) {
   return sum;
 }
 
-void Avx2DotRows(const float* a, const float* b, size_t ldb, float* out,
-                 size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) out[r] = Avx2Dot(a, b + r * ldb, n);
-}
+// ---------------------------------------------------------------------------
+// Query x target tiles. A 4-query x 8-target register tile: each target is
+// loaded once for four queries, and the eight cells of a query row share one
+// transposed horizontal sum. Per cell, the tile keeps its cell kernel's
+// reduction exactly — the same accumulator chains over the same offsets, the
+// same fold, the same lane pairing of the horizontal sum and the same scalar
+// tail, with every operation's operands in the same order — so each cell is
+// the float the cell kernel gives. Cells outside full tiles (the last
+// q_rows % 4 queries, so every one-query call, and the last r_rows % 8
+// targets) run the cell kernel itself: a lone query shares no target load,
+// and per-cell calls measured faster than a 1 x 8 tile for one query.
+// ---------------------------------------------------------------------------
 
-void Avx2SquaredL2DistanceRows(const float* a, const float* b, size_t ldb,
-                               float* out, size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Avx2SquaredL2Distance(a, b + r * ldb, n);
+/// The reduction recipe of one cell kernel: kChains 8-lane accumulators
+/// step through blocks of kChains * 8 floats (chain c takes offset c * 8 of
+/// each block), the remaining 8-lane chunks go to chain 0, the chains fold
+/// as in the cell kernel, and Tail adds one leftover element.
+struct DotRecipe {
+  static constexpr size_t kChains = 4;
+  static __m256 Step(__m256 acc, __m256 a, __m256 b) {
+    return _mm256_fmadd_ps(a, b, acc);
+  }
+  static float Tail(float sum, float a, float b) { return sum + a * b; }
+  static float Cell(const float* a, const float* b, size_t n) {
+    return Avx2Dot(a, b, n);
+  }
+};
+
+struct SquaredL2DistanceRecipe {
+  static constexpr size_t kChains = 2;
+  static __m256 Step(__m256 acc, __m256 a, __m256 b) {
+    const __m256 d = _mm256_sub_ps(a, b);
+    return _mm256_fmadd_ps(d, d, acc);
+  }
+  static float Tail(float sum, float a, float b) {
+    const float d = a - b;
+    return sum + d * d;
+  }
+  static float Cell(const float* a, const float* b, size_t n) {
+    return Avx2SquaredL2Distance(a, b, n);
+  }
+};
+
+struct L1DistanceRecipe {
+  static constexpr size_t kChains = 1;
+  static __m256 Step(__m256 acc, __m256 a, __m256 b) {
+    return _mm256_add_ps(acc, Abs(_mm256_sub_ps(a, b)));
+  }
+  static float Tail(float sum, float a, float b) {
+    return sum + std::fabs(a - b);
+  }
+  static float Cell(const float* a, const float* b, size_t n) {
+    return Avx2L1Distance(a, b, n);
+  }
+};
+
+/// Queries per register tile.
+constexpr size_t kTileQueries = 4;
+
+/// Chains c .. c + kCount - 1 of the kTileQueries cells of one target row,
+/// stepped together so the core has independent FMA chains to overlap.
+/// Each chain still takes its offsets in the cell kernel's order.
+template <class Recipe, size_t kCount>
+inline void Chains(const float* a, size_t lda, const float* b, size_t n,
+                   size_t c, __m256 (&acc)[kCount][kTileQueries]) {
+  constexpr size_t kBlock = Recipe::kChains * kLanes;
+  const size_t blocks = n / kBlock;
+  for (size_t k = 0; k < kCount; ++k) {
+    for (size_t q = 0; q < kTileQueries; ++q) acc[k][q] = _mm256_setzero_ps();
+  }
+  const auto step = [&](size_t k, size_t i) {
+    const __m256 bv = _mm256_loadu_ps(b + i);
+    for (size_t q = 0; q < kTileQueries; ++q) {
+      acc[k][q] = Recipe::Step(acc[k][q], _mm256_loadu_ps(a + q * lda + i), bv);
+    }
+  };
+  for (size_t m = 0; m < blocks; ++m) {
+    for (size_t k = 0; k < kCount; ++k) step(k, m * kBlock + (c + k) * kLanes);
+  }
+  if (c == 0) {
+    for (size_t i = blocks * kBlock; i + kLanes <= n; i += kLanes) step(0, i);
   }
 }
 
-void Avx2L1DistanceRows(const float* a, const float* b, size_t ldb,
-                        float* out, size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Avx2L1Distance(a, b + r * ldb, n);
+/// The folded 8-lane vectors of the kTileQueries cells of one target row,
+/// before the horizontal sum: (c0 + c1) + (c2 + c3), c0 + c1 or c0, as the
+/// cell kernel folds.
+template <class Recipe>
+inline void FoldedCells(const float* a, size_t lda, const float* b, size_t n,
+                        __m256 (&cells)[kTileQueries]) {
+  constexpr size_t kPair = Recipe::kChains >= 2 ? 2 : 1;
+  __m256 acc[kPair][kTileQueries];
+  Chains<Recipe, kPair>(a, lda, b, n, 0, acc);
+  if constexpr (kPair == 1) {
+    for (size_t q = 0; q < kTileQueries; ++q) cells[q] = acc[0][q];
+  } else {
+    for (size_t q = 0; q < kTileQueries; ++q) {
+      cells[q] = _mm256_add_ps(acc[0][q], acc[1][q]);
+    }
+  }
+  if constexpr (Recipe::kChains == 4) {
+    Chains<Recipe, kPair>(a, lda, b, n, 2, acc);
+    for (size_t q = 0; q < kTileQueries; ++q) {
+      cells[q] = _mm256_add_ps(cells[q], _mm256_add_ps(acc[0][q], acc[1][q]));
+    }
+  }
+}
+
+/// HorizontalSum of eight vectors at once: lane r of the result is
+/// HorizontalSum(v[r]), with the same pairing
+/// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)) and operand order.
+inline __m256 HorizontalSum8(const __m256 (&v)[8]) {
+  __m256 s[4];  // s[p] = [lo(v[2p]) + hi(v[2p]) | lo(v[2p+1]) + hi(v[2p+1])]
+  for (size_t p = 0; p < 4; ++p) {
+    s[p] = _mm256_add_ps(_mm256_permute2f128_ps(v[2 * p], v[2 * p + 1], 0x20),
+                         _mm256_permute2f128_ps(v[2 * p], v[2 * p + 1], 0x31));
+  }
+  // t0 = [t(0) t(2) | t(1) t(3)] and t1 likewise for 4..7, where t(r) holds
+  // the two partial sums (x0 + x2, x1 + x3) of s's four lanes x of cell r.
+  const __m256 t0 = _mm256_add_ps(_mm256_shuffle_ps(s[0], s[1], 0x44),
+                                  _mm256_shuffle_ps(s[0], s[1], 0xEE));
+  const __m256 t1 = _mm256_add_ps(_mm256_shuffle_ps(s[2], s[3], 0x44),
+                                  _mm256_shuffle_ps(s[2], s[3], 0xEE));
+  // [r0 r2 r4 r6 | r1 r3 r5 r7], then back to cell order.
+  const __m256 r = _mm256_add_ps(_mm256_shuffle_ps(t0, t1, 0x88),
+                                 _mm256_shuffle_ps(t0, t1, 0xDD));
+  return _mm256_permutevar8x32_ps(r, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
+/// kTileQueries query rows against r_rows targets: 8-target tiles, then the
+/// cell kernel for the last r_rows % 8 targets.
+template <class Recipe>
+void TileRows(const float* a, size_t lda, const float* b, size_t ldb,
+              float* out, size_t ldo, size_t r_rows, size_t n) {
+  const size_t tail = n & ~(kLanes - 1);
+  size_t r0 = 0;
+  for (; r0 + kLanes <= r_rows; r0 += kLanes) {
+    __m256 cells[kTileQueries][kLanes];
+    for (size_t r = 0; r < kLanes; ++r) {
+      __m256 column[kTileQueries];
+      FoldedCells<Recipe>(a, lda, b + (r0 + r) * ldb, n, column);
+      for (size_t q = 0; q < kTileQueries; ++q) cells[q][r] = column[q];
+    }
+    for (size_t q = 0; q < kTileQueries; ++q) {
+      float* o = out + q * ldo + r0;
+      _mm256_storeu_ps(o, HorizontalSum8(cells[q]));
+      for (size_t r = 0; tail < n && r < kLanes; ++r) {
+        const float* ar = a + q * lda;
+        const float* br = b + (r0 + r) * ldb;
+        float sum = o[r];
+        for (size_t i = tail; i < n; ++i) sum = Recipe::Tail(sum, ar[i], br[i]);
+        o[r] = sum;
+      }
+    }
+  }
+  for (; r0 < r_rows; ++r0) {
+    for (size_t q = 0; q < kTileQueries; ++q) {
+      out[q * ldo + r0] = Recipe::Cell(a + q * lda, b + r0 * ldb, n);
+    }
+  }
+}
+
+template <class Recipe>
+void Avx2Tile(const float* a, size_t lda, const float* b, size_t ldb,
+              float* out, size_t ldo, size_t q_rows, size_t r_rows, size_t n) {
+  size_t q = 0;
+  for (; q + kTileQueries <= q_rows; q += kTileQueries) {
+    TileRows<Recipe>(a + q * lda, lda, b, ldb, out + q * ldo, ldo, r_rows, n);
+  }
+  for (; q < q_rows; ++q) {
+    for (size_t r = 0; r < r_rows; ++r) {
+      out[q * ldo + r] = Recipe::Cell(a + q * lda, b + r * ldb, n);
+    }
   }
 }
 
@@ -262,9 +419,9 @@ constexpr KernelTable kAvx2Table = {
     /*l1=*/Avx2L1,
     /*squared_l2_distance=*/Avx2SquaredL2Distance,
     /*l1_distance=*/Avx2L1Distance,
-    /*dot_rows=*/Avx2DotRows,
-    /*squared_l2_distance_rows=*/Avx2SquaredL2DistanceRows,
-    /*l1_distance_rows=*/Avx2L1DistanceRows,
+    /*dot_tile=*/Avx2Tile<DotRecipe>,
+    /*squared_l2_distance_tile=*/Avx2Tile<SquaredL2DistanceRecipe>,
+    /*l1_distance_tile=*/Avx2Tile<L1DistanceRecipe>,
     /*axpy=*/Avx2Axpy,
     /*scale=*/Avx2Scale,
     /*add=*/Avx2Add,

@@ -94,8 +94,8 @@ void GemmTransposeB(const Matrix& a, const Matrix& b, Matrix& out) {
   const size_t k = a.cols();
   ParallelFor(0, a.rows(), 0, [&](size_t row_begin, size_t row_end) {
     for (size_t i = row_begin; i < row_end; ++i) {
-      kt.dot_rows(a.Row(i).data(), b.Data().data(), k, out.Row(i).data(),
-                  b.rows(), k);
+      kt.dot_tile(a.Row(i).data(), k, b.Data().data(), k, out.Row(i).data(),
+                  b.rows(), 1, b.rows(), k);
     }
   });
 }
@@ -105,8 +105,9 @@ void MatVec(const Matrix& m, std::span<const float> x, std::span<float> y) {
   OPENEA_CHECK_EQ(m.rows(), y.size());
   const kernels::KernelTable& kt = kernels::Active();
   ParallelFor(0, m.rows(), 0, [&](size_t row_begin, size_t row_end) {
-    kt.dot_rows(x.data(), m.Row(row_begin).data(), m.cols(),
-                y.data() + row_begin, row_end - row_begin, m.cols());
+    kt.dot_tile(x.data(), m.cols(), m.Row(row_begin).data(), m.cols(),
+                y.data() + row_begin, row_end - row_begin, 1,
+                row_end - row_begin, m.cols());
   });
 }
 

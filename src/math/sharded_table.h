@@ -165,7 +165,7 @@ class ShardedEmbeddingTable {
   size_t num_rows() const { return num_rows_; }
   size_t dim() const { return dim_; }
   /// Distance in floats between consecutive rows of a mapped bank (the `ldb`
-  /// to pass to detail::MetricRowBlock).
+  /// to pass to align::detail::MetricBlock).
   size_t row_stride() const { return row_stride_; }
   size_t rows_per_bank() const { return rows_per_bank_; }
   size_t num_banks() const { return num_banks_; }

@@ -158,12 +158,12 @@ StatusOr<ServingModel> LoadServingModel(const ServeConfig& config) {
         math::ShardedEmbeddingTable::Open(config.checkpoint_path);
     if (!table.ok()) return table.status();
     ServingModel model;
-    model.sharded = *std::move(table);
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(
-                      model.sharded->ContentFingerprint()));
+                      (*table)->ContentFingerprint()));
     model.fingerprint = hex;
+    model.targets = math::RowBanks(*std::move(table));
     return model;
   }
   checkpoint::TrainState state;
@@ -201,9 +201,11 @@ StatusOr<ServingModel> LoadServingModel(const ServeConfig& config) {
   ServingModel model;
   model.epoch = state.epoch;
   model.fingerprint = ModelFingerprint(state);
-  model.targets = math::Matrix(table.num_rows(), table.dim());
+  auto targets = std::make_shared<math::Matrix>(table.num_rows(), table.dim());
   const auto data = table.Data();
-  std::copy(data.begin(), data.end(), model.targets.Data().begin());
+  std::copy(data.begin(), data.end(), targets->Data().begin());
+  model.targets = math::RowBanks(std::shared_ptr<const math::Matrix>(
+      std::move(targets)));
   return model;
 }
 
@@ -222,9 +224,7 @@ StatusOr<std::unique_ptr<AlignServer>> AlignServer::Create(
   StatusOr<std::unique_ptr<align::CandidateSource>> source =
       align::CreateCandidateSource(config.source);
   if (!source.ok()) return source.status();
-  const Status indexed = model->sharded
-                             ? (*source)->IndexSharded(model->sharded)
-                             : (*source)->Index(model->targets);
+  const Status indexed = (*source)->IndexRows(model->targets);
   if (!indexed.ok()) return indexed;
   return std::unique_ptr<AlignServer>(new AlignServer(
       config, *std::move(model), *std::move(source)));

@@ -9,8 +9,7 @@
 #include "src/common/checkpoint.h"
 #include "src/common/json.h"
 #include "src/common/status.h"
-#include "src/math/matrix.h"
-#include "src/math/sharded_table.h"
+#include "src/math/row_banks.h"
 
 namespace openea::serve {
 
@@ -85,7 +84,7 @@ struct ServeConfig {
   /// CV checkpoint written by a bench --checkpoint-dir (its fold-0
   /// embeddings become tables 0/1; see core::LoadCvFoldModel), or a
   /// shard-banked table file (sniffed by magic and served out-of-core; see
-  /// ServingModel::sharded). `table` is ignored for shard files — they hold
+  /// ServingModel::targets). `table` is ignored for shard files — they hold
   /// exactly one table.
   std::string checkpoint_path;
   /// Which checkpoint table holds the target (indexed) embeddings. The
@@ -120,15 +119,16 @@ struct ServeConfig {
 /// model revision it expects and a stale/foreign checkpoint is rejected
 /// with FailedPrecondition instead of silently serving wrong neighbours.
 struct ServingModel {
-  math::Matrix targets;
+  /// The served target rows, the one copy the server holds: a matrix
+  /// extracted from a checkpoint, or a shard-banked table file
+  /// (src/math/sharded_table.h) mapped bank by bank and never materialized
+  /// in RAM. The view owns its rows, and the candidate source indexes the
+  /// same view (CandidateSource::IndexRows) instead of copying it. For a
+  /// shard file the fingerprint comes from the table's ContentFingerprint
+  /// (header + bank CRCs) and epoch reports 0.
+  math::RowBanks targets;
   uint64_t epoch = 0;
   std::string fingerprint;
-  /// Set when the checkpoint was a shard-banked table file
-  /// (src/math/sharded_table.h): the server then indexes out-of-core through
-  /// CandidateSource::IndexSharded and `targets` stays empty — the full
-  /// table is never materialized in RAM. The fingerprint comes from the
-  /// table's ContentFingerprint (header + bank CRCs) and epoch reports 0.
-  std::shared_ptr<const math::ShardedEmbeddingTable> sharded;
 };
 
 /// FNV-1a fingerprint of a training state (shape + values of every table).

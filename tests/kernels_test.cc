@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/align/similarity.h"
@@ -102,30 +104,81 @@ TEST_F(KernelsTest, ReductionsAgreeWithinUlps) {
   }
 }
 
+/// Rows of a tile test: random values with every `period`-th row holding
+/// one special pattern — a NaN, +Inf or -Inf element, all -0.0, or all
+/// zeros — rows `ld` floats apart with the padding beyond n left random.
+/// The NaN is the x86 default NaN (sign bit set), the same bit pattern
+/// Inf * 0 and Inf - Inf produce, so every NaN a cell can hold has one bit
+/// pattern and memcmp compares values, not NaN propagation order.
+std::vector<float> TileRows(size_t rows, size_t ld, size_t n, uint64_t seed,
+                            size_t shift) {
+  std::vector<float> v = RandomVec(rows * ld, seed);
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = v.data() + r * ld;
+    switch ((r + shift) % 7) {
+      case 1: row[r % n] = nan; break;
+      case 2: row[(r * 3) % n] = inf; break;
+      case 3: row[(r * 5) % n] = -inf; break;
+      case 4: std::fill(row, row + n, -0.0f); break;
+      case 5: std::fill(row, row + n, 0.0f); break;
+      default: break;
+    }
+  }
+  return v;
+}
+
 TEST_F(KernelsTest, RowBatchesMatchTheirCellKernelExactly) {
-  // The *_rows kernels must produce the same float as calling the cell
-  // kernel per row — within one backend this is exact, which is what keeps
-  // the dense similarity matrix and the streaming top-k bit-identical.
-  const size_t rows = 13, n = 33, ldb = 40;
-  const auto a = RandomVec(n, 1);
-  const auto b = RandomVec(rows * ldb, 2);
+  // Every cell of a tile kernel must be the float its table's cell kernel
+  // gives for that pair — memcmp-equal, specials included — at every tile
+  // shape: query counts around the 4-row tile height, target counts around
+  // the 8-target width and the 256-target scan tile, row lengths around
+  // the 8- and 32-lane blocks, padded strides (lda, ldb > n, as in a
+  // sharded bank) and an output stride wider than the block. Within one
+  // backend this is exact, which is what keeps the dense similarity
+  // matrix, the streaming top-k and the IVF build bit-identical.
+  using Tile = void (*)(const float*, size_t, const float*, size_t, float*,
+                        size_t, size_t, size_t, size_t);
+  using Cell = float (*)(const float*, const float*, size_t);
+  const size_t kQueries = 9;
+  const size_t kTargets[] = {0, 1, 7, 8, 9, 255, 256, 257};
+  const size_t kDims[] = {1, 7, 8, 16, 31, 32, 33, 64, 100, 512};
+  const float sentinel = 12345.0f;
   for (const KernelTable* kt : {&scalar_, &avx2_}) {
-    std::vector<float> out(rows);
-    kt->dot_rows(a.data(), b.data(), ldb, out.data(), rows, n);
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(out[r], kt->dot(a.data(), b.data() + r * ldb, n)) << r;
-    }
-    kt->squared_l2_distance_rows(a.data(), b.data(), ldb, out.data(), rows,
-                                 n);
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(out[r],
-                kt->squared_l2_distance(a.data(), b.data() + r * ldb, n))
-          << r;
-    }
-    kt->l1_distance_rows(a.data(), b.data(), ldb, out.data(), rows, n);
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(out[r], kt->l1_distance(a.data(), b.data() + r * ldb, n))
-          << r;
+    const std::pair<Tile, Cell> kernels[] = {
+        {kt->dot_tile, kt->dot},
+        {kt->squared_l2_distance_tile, kt->squared_l2_distance},
+        {kt->l1_distance_tile, kt->l1_distance},
+    };
+    for (const size_t n : kDims) {
+      const size_t lda = n + 3, ldb = n + 5;
+      const auto a = TileRows(kQueries, lda, n, 10 + n, 0);
+      const auto b = TileRows(257, ldb, n, 20 + n, 3);
+      for (size_t kernel = 0; kernel < 3; ++kernel) {
+        const auto [tile, cell] = kernels[kernel];
+        for (size_t q_rows = 1; q_rows <= kQueries; ++q_rows) {
+          for (const size_t r_rows : kTargets) {
+            const size_t ldo = r_rows + 2;
+            std::vector<float> out(q_rows * ldo, sentinel);
+            tile(a.data(), lda, b.data(), ldb, out.data(), ldo, q_rows,
+                 r_rows, n);
+            for (size_t q = 0; q < q_rows; ++q) {
+              for (size_t r = 0; r < ldo; ++r) {
+                const float want =
+                    r < r_rows ? cell(a.data() + q * lda, b.data() + r * ldb,
+                                      n)
+                               : sentinel;
+                const float got = out[q * ldo + r];
+                ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+                    << "kernel " << kernel << " n=" << n << " q_rows="
+                    << q_rows << " r_rows=" << r_rows << " cell (" << q
+                    << ", " << r << "): " << got << " vs " << want;
+              }
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -490,6 +491,30 @@ TEST(ServeTest, DeadlineExceededIsExplicitStatusAndCounted) {
   ASSERT_NE(counters->Find("serve/errors"), nullptr);
   EXPECT_GE(counters->Find("serve/errors")->number(),
             static_cast<double>(kRequests));
+}
+
+TEST(ServeTest, InRamSourceSharesTheModelRows) {
+  // The server holds the served rows once: the candidate source indexes
+  // the model's own view instead of a private copy.
+  const std::string dir = TempDir();
+  ServeConfig config;
+  config.checkpoint_path = WriteCheckpoint(dir, 40, 8, 23);
+  config.table = 1;
+  for (const auto kind : {align::CandidateSourceKind::kExact,
+                          align::CandidateSourceKind::kAnnIvf}) {
+    config.source.kind = kind;
+    auto server = AlignServer::Create(config);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    const math::Matrix* rows = (*server)->model().targets.matrix();
+    ASSERT_NE(rows, nullptr);
+    EXPECT_EQ((*server)->source().targets().matrix(), rows);
+    EXPECT_EQ(rows->rows(), 40u);
+    const auto loaded = checkpoint::LoadTrainState(config.checkpoint_path);
+    ASSERT_TRUE(loaded.ok());
+    const math::Matrix want = TableMatrix(loaded->tables[1]);
+    EXPECT_TRUE(std::equal(want.Data().begin(), want.Data().end(),
+                           rows->Data().begin()));
+  }
 }
 
 TEST(ServeTest, BadCheckpointOrConfigFailsStartup) {
